@@ -617,6 +617,21 @@ fn shard_invariance_baseline() -> &'static Vec<u8> {
     BASE.get_or_init(|| merged_reference("shard-base", config(), &fleet().events))
 }
 
+/// CRC32 of [`shard_invariance_baseline`]: the absolute anchor behind
+/// the relative shard-count and recovery identity checks in this file.
+const SHARD_BASELINE_CRC: u32 = 0x677103DE;
+
+/// The single-shard corpus bytes themselves are pinned, so a change that
+/// moves every shard count's output in lockstep still fails.
+#[test]
+fn shard_invariance_baseline_matches_golden_digest() {
+    assert_eq!(
+        press_store::crc32(shard_invariance_baseline()),
+        SHARD_BASELINE_CRC,
+        "single-shard merged corpus moved off the golden digest"
+    );
+}
+
 /// The published corpus is shard-count invariant: for every shard count
 /// the merged corpus bytes equal the single-shard run's, both on a
 /// clean run and after a crash (all journals intact) plus parallel
