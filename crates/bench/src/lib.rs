@@ -5,7 +5,7 @@
 //! prints the same rows/series the paper plots; Criterion benches under
 //! `benches/` cover the micro-level timing claims.
 //!
-//! Experiment index (matching DESIGN.md §5):
+//! Experiment index:
 //!
 //! | id | function | paper artifact |
 //! |----|----------|----------------|

@@ -2,8 +2,7 @@
 //!
 //! The paper reports compression ratio as `|T| / |T'|` — original storage
 //! cost over compressed storage cost (§6.1). Ratios only make sense with an
-//! explicit byte model, so this module pins one down (documented in
-//! DESIGN.md §4):
+//! explicit byte model, so this module pins one down:
 //!
 //! * a raw GPS sample `(x, y, t)` costs 20 bytes (two `f64` + one `u32`),
 //! * an edge id in an uncompressed spatial path costs 4 bytes,

@@ -228,6 +228,10 @@ fn validate_code_lengths(lens: &[u8]) -> press_store::Result<()> {
 // Block-oriented compressed-trajectory store
 // ---------------------------------------------------------------------
 
+/// Encoded size of one [`BlockSynopsis`] in the `synopsis` section: six
+/// `f64` (MBR, t0, t1) and two `u64` (start, len).
+const SYNOPSIS_BYTES: usize = 64;
+
 /// Per-block metadata consulted before any decompression.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BlockSynopsis {
@@ -329,7 +333,7 @@ impl TrajectoryStore {
             ));
         }
         let num_blocks = trajectories.len().div_ceil(block_size);
-        let mut synopsis = ByteWriter::with_capacity(num_blocks * 64);
+        let mut synopsis = ByteWriter::with_capacity(num_blocks * SYNOPSIS_BYTES);
         let mut w = StoreWriter::new(kind::TRAJECTORY_STORE);
         let mut meta = ByteWriter::with_capacity(24);
         meta.put_u64(trajectories.len() as u64);
@@ -433,7 +437,16 @@ impl TrajectoryStore {
             ))
             .into());
         }
+        // `meta` may claim up to u32::MAX blocks; the synopsis section
+        // must actually hold them before anything is allocated for them.
         let mut r = file.reader("synopsis")?;
+        if Some(r.remaining()) != num_blocks.checked_mul(SYNOPSIS_BYTES) {
+            return Err(StoreError::Corrupt(format!(
+                "synopsis: {} B cannot hold {num_blocks} blocks of {SYNOPSIS_BYTES} B",
+                r.remaining()
+            ))
+            .into());
+        }
         let mut blocks = Vec::with_capacity(num_blocks);
         for b in 0..num_blocks {
             let mbr = Mbr {
@@ -1044,6 +1057,31 @@ mod tests {
                 .unwrap(),
             vec![]
         );
+    }
+
+    #[test]
+    fn open_refuses_block_counts_the_synopsis_cannot_hold() {
+        // A CRC-consistent `meta` claiming u32::MAX trajectories at block
+        // size 1 must fail typed before anything is sized by that count.
+        let mut meta = ByteWriter::new();
+        meta.put_u64(u32::MAX as u64);
+        meta.put_u64(1);
+        meta.put_u64(u32::MAX as u64);
+        let mut w = StoreWriter::new(kind::TRAJECTORY_STORE);
+        w.section("meta", meta.into_bytes());
+        w.section_aligned("synopsis", vec![0; SYNOPSIS_BYTES]);
+        let bytes = w.to_bytes();
+        let path = temp_corpus("huge-meta", &bytes);
+        let owned = TrajectoryStore::from_store_bytes(bytes);
+        let mapped = TrajectoryStore::open_mapped(&path);
+        std::fs::remove_file(&path).unwrap();
+        for r in [owned, mapped] {
+            assert!(
+                matches!(r, Err(PressError::Store(StoreError::Corrupt(_)))),
+                "expected a typed Corrupt error, got {:?}",
+                r.err()
+            );
+        }
     }
 
     fn temp_corpus(name: &str, bytes: &[u8]) -> std::path::PathBuf {

@@ -195,94 +195,12 @@ pub(crate) fn expand_arc(arcs: &[ChArc], arc: u32, out: &mut Vec<EdgeId>) {
     }
 }
 
-/// Encodes an arc set as the compact `arcs_c` section (delta+varint).
-///
-/// Two structural facts make the arc array almost free to store:
-///
-/// * the contractor lays out **original arcs first, in edge-id order**,
-///   so arc `i < |E|` is exactly network edge `i` — zero bytes each;
-/// * a **shortcut** is fully determined by its two child arc ids: tail,
-///   head, and weight are `first.tail`, `second.head`, and the exact
-///   float sum `first.weight + second.weight` the contraction computed
-///   (the legacy loader validated those equalities byte-for-byte, which
-///   is what licenses deriving them instead of storing them).
-///
-/// So the section is just two zigzag varint deltas (child id − own id)
-/// per shortcut — ~3–6 B instead of the legacy 25 B per arc, with no
-/// floats at all. Shared by the contraction-hierarchy and hub-label
-/// artifacts.
-pub(crate) fn encode_arcs_compact(arcs: &[ChArc], num_original: usize) -> Vec<u8> {
-    let mut w = press_store::ByteWriter::with_capacity((arcs.len() - num_original) * 4);
-    for (id, arc) in arcs.iter().enumerate() {
-        match arc.unpack {
-            Unpack::Original(e) => {
-                debug_assert_eq!(e.0 as usize, id, "original arcs must mirror edge ids");
-            }
-            Unpack::Shortcut(first, second) => {
-                debug_assert!(id >= num_original, "shortcuts come after originals");
-                w.put_ivarint(first as i64 - id as i64);
-                w.put_ivarint(second as i64 - id as i64);
-            }
-        }
-    }
-    w.into_bytes()
-}
-
-/// Decodes the compact `arcs_c` section back to the full arc set (see
-/// [`encode_arcs_compact`]), validating every derived invariant: child
-/// ids strictly below the shortcut's own id, and children contiguous at
-/// the middle node. Original arcs are materialized straight from the
-/// network, so there is nothing about them to corrupt.
-pub(crate) fn decode_arcs_compact(
-    net: &RoadNetwork,
-    bytes: &[u8],
-    num_arcs: usize,
-) -> press_store::Result<Vec<ChArc>> {
-    use press_store::StoreError;
-    let mut arcs = Vec::with_capacity(num_arcs);
-    for e in net.edge_ids() {
-        let edge = net.edge(e);
-        arcs.push(ChArc {
-            tail: edge.from,
-            head: edge.to,
-            weight: edge.weight,
-            unpack: Unpack::Original(e),
-        });
-    }
-    let mut r = press_store::ByteReader::new(bytes);
-    for id in net.num_edges()..num_arcs {
-        let first = id as i64 + r.get_ivarint()?;
-        let second = id as i64 + r.get_ivarint()?;
-        if first < 0 || second < 0 || first >= id as i64 || second >= id as i64 {
-            return Err(StoreError::Corrupt(format!(
-                "shortcut arc {id} unpacks to an out-of-range arc ({first}, {second})"
-            )));
-        }
-        let a = arcs[first as usize];
-        let b = arcs[second as usize];
-        if a.head != b.tail {
-            return Err(StoreError::Corrupt(format!(
-                "shortcut arc {id} does not concatenate its children ({first}, {second})"
-            )));
-        }
-        arcs.push(ChArc {
-            tail: a.tail,
-            head: b.head,
-            weight: a.weight + b.weight,
-            unpack: Unpack::Shortcut(first as u32, second as u32),
-        });
-    }
-    r.expect_end("arcs_c")?;
-    Ok(arcs)
-}
-
 /// Encodes an arc set as the flat `arcs_f` section: 24 fixed-width bytes
 /// per arc — tail `u32`, head `u32`, weight as `f64` bits, then the two
 /// unpack ids (`(edge id, NO_ARC)` for an original, the child arc ids
-/// for a shortcut). Redundant with `arcs_c` by design: the flat twin is
-/// what a mapped open decodes without touching the varint machinery, and
-/// the redundancy (endpoints and weights that `arcs_c` derives) is
-/// exactly what [`decode_arcs_flat`] cross-checks against the network.
+/// for a shortcut). Endpoints and weights are derivable from the network
+/// and the children; storing them anyway is what lets
+/// [`decode_arcs_flat`] cross-check every arc byte-for-byte.
 pub(crate) fn encode_arcs_flat(arcs: &[ChArc]) -> Vec<u8> {
     let mut out = Vec::with_capacity(arcs.len() * 24);
     for arc in arcs {
@@ -299,12 +217,11 @@ pub(crate) fn encode_arcs_flat(arcs: &[ChArc]) -> Vec<u8> {
     out
 }
 
-/// Decodes the flat `arcs_f` section (see [`encode_arcs_flat`]) with the
-/// full validation the legacy fixed-width decoder performed: originals
-/// must match the network edge byte-for-byte, shortcuts must reference
-/// strictly earlier arcs, concatenate at the middle node, and carry the
-/// exact float sum of their children. Shared by the mapped
-/// contraction-hierarchy and hub-label opens.
+/// Decodes the flat `arcs_f` section (see [`encode_arcs_flat`]):
+/// originals must match the network edge byte-for-byte, shortcuts must
+/// reference strictly earlier arcs, concatenate at the middle node, and
+/// carry the exact float sum of their children. Shared by the
+/// contraction-hierarchy and hub-label loads.
 pub(crate) fn decode_arcs_flat(
     net: &RoadNetwork,
     bytes: &[u8],
@@ -373,11 +290,11 @@ pub(crate) fn decode_arcs_flat(
 }
 
 /// Validates that a CSR search graph files every arc under the right
-/// node and that every arc points up in rank — the invariant both the
-/// owned loader and the mapped [`MappedContractionHierarchy::validate`]
-/// pass enforce before any query runs. `forward` selects which CSR is
-/// being checked: up-arcs grouped by tail (forward search) or down-arcs
-/// grouped by head (backward).
+/// node, in strictly ascending arc-id order, and that every arc points up
+/// in rank — enforced by [`MappedContractionHierarchy::validate`] before
+/// any query runs. `forward` selects which CSR is being checked: up-arcs
+/// grouped by tail (forward search) or down-arcs grouped by head
+/// (backward).
 fn check_csr_membership(
     arcs: &[ChArc],
     rank: &[u32],
@@ -390,7 +307,13 @@ fn check_csr_membership(
     let n = index.len() - 1;
     let num_arcs = arcs.len();
     for node in 0..n {
-        for &a in &ids[index[node] as usize..index[node + 1] as usize] {
+        let group = &ids[index[node] as usize..index[node + 1] as usize];
+        if group.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(StoreError::Corrupt(format!(
+                "{arcs_name}: arcs of node {node} are not strictly ascending"
+            )));
+        }
+        for &a in group {
             let Some(arc) = arcs.get(a as usize) else {
                 return Err(StoreError::Corrupt(format!(
                     "{arcs_name} references arc {a} outside 0..{num_arcs}"
@@ -485,8 +408,8 @@ thread_local! {
 /// Internals are crate-visible so the hub-label backend can be built from
 /// the same rank order and upward search graphs.
 /// The id-array fields are [`press_store::FlatSlice`]s: owned vectors
-/// after a build or an owned load, zero-copy borrows of the artifact's
-/// flat sections after a mapped open ([`MappedContractionHierarchy`]) —
+/// after a build, zero-copy borrows of the artifact's flat sections after
+/// a load (mapped or owned, see [`MappedContractionHierarchy`]) —
 /// `Deref<Target = [u32]>` keeps every query identical either way.
 pub struct ContractionHierarchy {
     pub(crate) net: Arc<RoadNetwork>,
@@ -1102,74 +1025,29 @@ impl ContractionHierarchy {
     /// contraction entirely (the dominant preprocessing cost at city
     /// scale: ~100 s at 102k nodes vs a single small read).
     ///
-    /// The arc and CSR sections are **delta+varint compressed**
-    /// (`arcs_c`, `*_c` — see the crate-private `store_codec` module and
-    /// `encode_arcs_compact`): original arcs are implicit in the
-    /// network, a shortcut is fully determined by its two child arc ids,
-    /// and the id arrays delta down to mostly one byte per element. This
-    /// is a purely additive section change (no container format-version
-    /// bump): this reader still accepts files written with the raw
-    /// fixed-width sections of earlier builds.
-    ///
-    /// Alongside the compact sections the writer also emits the
-    /// **flat** twins (`arcs_f`, `*_f` — fixed-width little-endian,
-    /// 8-byte aligned via `section_aligned`) that the zero-copy
-    /// [`MappedContractionHierarchy`] tier borrows in place. Also purely
-    /// additive: owned loads keep reading the compact sections and old
-    /// readers ignore the flat ones.
+    /// Every array is a **flat** section (`rank`, `arcs_f`, `*_f`):
+    /// fixed-width little-endian, 8-byte aligned via `section_aligned`,
+    /// so the zero-copy [`MappedContractionHierarchy`] tier borrows it in
+    /// place. This is the artifact's only encoding; both load paths read
+    /// it through the same validation.
     pub fn to_store_bytes(&self) -> Vec<u8> {
         let mut meta = press_store::ByteWriter::with_capacity(28);
         meta.put_u64(self.rank.len() as u64);
         meta.put_u64(self.arcs.len() as u64);
         meta.put_u64(self.num_shortcuts as u64);
-        // Edge-set fingerprint: the compact arc codec derives original
-        // arcs from the load-time network, so the pairing check that the
-        // legacy weight-carrying section performed byte-for-byte moves
-        // here (see `store_codec::edge_fingerprint`).
         meta.put_u32(crate::store_codec::edge_fingerprint(&self.net));
         let mut w = press_store::StoreWriter::new(press_store::kind::CONTRACTION_HIERARCHY);
         w.section("meta", meta.into_bytes());
-        // "rank" was always raw u32 LE; writing it aligned (a no-op for
-        // readers, which address sections by table offset) lets the
-        // mapped tier borrow it in place like the *_f sections below.
         w.section_aligned("rank", crate::store_codec::encode_u32s_flat(&self.rank));
-        w.section(
-            "arcs_c",
-            encode_arcs_compact(&self.arcs, self.net.num_edges()),
-        );
-        w.section(
-            "fwd_index_c",
-            crate::store_codec::encode_index(&self.fwd_index),
-        );
-        w.section(
-            "fwd_arcs_c",
-            crate::store_codec::encode_grouped_ascending(&self.fwd_index, &self.fwd_arcs),
-        );
-        w.section(
-            "bwd_index_c",
-            crate::store_codec::encode_index(&self.bwd_index),
-        );
-        w.section(
-            "bwd_arcs_c",
-            crate::store_codec::encode_grouped_ascending(&self.bwd_index, &self.bwd_arcs),
-        );
         w.section_aligned("arcs_f", encode_arcs_flat(&self.arcs));
-        w.section_aligned(
-            "fwd_index_f",
-            crate::store_codec::encode_u32s_flat(&self.fwd_index),
-        );
-        w.section_aligned(
-            "fwd_arcs_f",
-            crate::store_codec::encode_u32s_flat(&self.fwd_arcs),
-        );
-        w.section_aligned(
-            "bwd_index_f",
-            crate::store_codec::encode_u32s_flat(&self.bwd_index),
-        );
-        w.section_aligned(
-            "bwd_arcs_f",
-            crate::store_codec::encode_u32s_flat(&self.bwd_arcs),
-        );
+        for (name, vals) in [
+            ("fwd_index_f", &self.fwd_index),
+            ("fwd_arcs_f", &self.fwd_arcs),
+            ("bwd_index_f", &self.bwd_index),
+            ("bwd_arcs_f", &self.bwd_arcs),
+        ] {
+            w.section_aligned(name, crate::store_codec::encode_u32s_flat(vals));
+        }
         w.to_bytes()
     }
 
@@ -1179,215 +1057,17 @@ impl ContractionHierarchy {
         Ok(())
     }
 
-    /// Decodes the raw fixed-width `arcs` section written by builds that
-    /// predate the compact codec, with the full validation the format
-    /// always had (endpoints in range, originals matching the network
-    /// edge byte-for-byte, shortcuts concatenating their children).
-    fn decode_arcs_legacy(
-        net: &RoadNetwork,
-        file: &press_store::StoreFile,
-        num_arcs: usize,
-    ) -> press_store::Result<Vec<ChArc>> {
-        use press_store::StoreError;
-        let n = net.num_nodes();
-        let mut r = file.reader("arcs")?;
-        let mut arcs = Vec::with_capacity(num_arcs);
-        for id in 0..num_arcs {
-            let tail = NodeId(r.get_u32()?);
-            let head = NodeId(r.get_u32()?);
-            let weight = r.get_f64()?;
-            let tag = r.get_u8()?;
-            let a = r.get_u32()?;
-            let b = r.get_u32()?;
-            if tail.index() >= n || head.index() >= n {
-                return Err(StoreError::Corrupt(format!(
-                    "arc {id} references node outside 0..{n}"
-                )));
-            }
-            let unpack = match tag {
-                0 => {
-                    let e = EdgeId(a);
-                    let Ok(edge) = net.try_edge(e) else {
-                        return Err(StoreError::Corrupt(format!(
-                            "arc {id} unpacks to missing edge {e}"
-                        )));
-                    };
-                    if edge.from != tail
-                        || edge.to != head
-                        || edge.weight.to_bits() != weight.to_bits()
-                    {
-                        return Err(StoreError::Corrupt(format!(
-                            "arc {id} does not match network edge {e}"
-                        )));
-                    }
-                    Unpack::Original(e)
-                }
-                1 => {
-                    if a as usize >= id || b as usize >= id {
-                        return Err(StoreError::Corrupt(format!(
-                            "shortcut arc {id} unpacks to a later arc ({a}, {b})"
-                        )));
-                    }
-                    Unpack::Shortcut(a, b)
-                }
-                t => {
-                    return Err(StoreError::Corrupt(format!(
-                        "arc {id} has unknown unpack tag {t}"
-                    )))
-                }
-            };
-            // A shortcut must concatenate its children: same endpoints,
-            // contiguous at the middle node, weight the exact float sum
-            // the contraction computed. Anything else would let `query`
-            // report a distance its own unpacked path does not have.
-            if let Unpack::Shortcut(a, b) = unpack {
-                let first: &ChArc = &arcs[a as usize];
-                let second: &ChArc = &arcs[b as usize];
-                if first.tail != tail
-                    || second.head != head
-                    || first.head != second.tail
-                    || (first.weight + second.weight).to_bits() != weight.to_bits()
-                {
-                    return Err(StoreError::Corrupt(format!(
-                        "shortcut arc {id} does not concatenate its children ({a}, {b})"
-                    )));
-                }
-            }
-            arcs.push(ChArc {
-                tail,
-                head,
-                weight,
-                unpack,
-            });
-        }
-        r.expect_end("arcs")?;
-        Ok(arcs)
-    }
-
-    /// Reconstructs a hierarchy over `net` from container bytes,
-    /// validating every structural invariant (rank permutation, arc
-    /// endpoints, original arcs matching the network's edges, shortcut
-    /// unpack acyclicity, CSR monotonicity) so corrupt input yields a
-    /// typed error instead of unsound queries.
+    /// Reconstructs a hierarchy over `net` from container bytes through
+    /// the same checks as a mapped open plus
+    /// [`MappedContractionHierarchy::validate`] (rank permutation, arcs
+    /// cross-checked against the network, CSR shape and membership), so
+    /// corrupt input yields a typed error instead of unsound queries.
     pub fn from_store_bytes(
         net: Arc<RoadNetwork>,
         bytes: Vec<u8>,
     ) -> press_store::Result<ContractionHierarchy> {
-        use press_store::StoreError;
-        let file = press_store::StoreFile::from_bytes(bytes)?;
-        file.expect_kind(press_store::kind::CONTRACTION_HIERARCHY)?;
-        let mut meta = file.reader("meta")?;
-        let n = meta.get_len(u32::MAX as usize, "node")?;
-        let num_arcs = meta.get_len(u32::MAX as usize, "arc")?;
-        let num_shortcuts = meta.get_len(u32::MAX as usize, "shortcut")?;
-        // Files from builds that predate the compact codec have no
-        // fingerprint — their raw arcs section carries every weight and
-        // the legacy decoder cross-checks those against the network.
-        if meta.remaining() > 0 {
-            let fp = meta.get_u32()?;
-            let expect = crate::store_codec::edge_fingerprint(&net);
-            if fp != expect {
-                return Err(StoreError::Corrupt(
-                    "hierarchy was built over a network with a different edge set \
-                     (weight fingerprint mismatch)"
-                        .into(),
-                ));
-            }
-        }
-        meta.expect_end("meta")?;
-        if n != net.num_nodes() {
-            return Err(StoreError::Corrupt(format!(
-                "hierarchy covers {n} nodes but the network has {}",
-                net.num_nodes()
-            )));
-        }
-        if num_arcs < net.num_edges() || num_arcs - net.num_edges() != num_shortcuts {
-            return Err(StoreError::Corrupt(format!(
-                "arc count {num_arcs} inconsistent with {} original edges + {num_shortcuts} shortcuts",
-                net.num_edges()
-            )));
-        }
-        let mut r = file.reader("rank")?;
-        let mut rank = Vec::with_capacity(n);
-        let mut seen = vec![false; n];
-        for v in 0..n {
-            let rk = r.get_u32()?;
-            if rk as usize >= n || std::mem::replace(&mut seen[rk as usize], true) {
-                return Err(StoreError::Corrupt(format!(
-                    "rank of node {v} ({rk}) breaks the 0..{n} permutation"
-                )));
-            }
-            rank.push(rk);
-        }
-        r.expect_end("rank")?;
-        let arcs = if file.has_section("arcs_c") {
-            decode_arcs_compact(&net, file.section("arcs_c")?, num_arcs)?
-        } else {
-            Self::decode_arcs_legacy(&net, &file, num_arcs)?
-        };
-        // `forward` selects which CSR is read: up-arcs grouped by tail
-        // (forward search) or down-arcs grouped by head (backward); each
-        // arc must belong to its group's node and point up in rank.
-        // Compact (`*_c`, delta+varint) sections are preferred; the raw
-        // fixed-width sections of earlier builds are still accepted.
-        let read_csr = |compact_index: &str,
-                        compact_arcs: &str,
-                        index_name: &str,
-                        arcs_name: &str,
-                        forward: bool|
-         -> press_store::Result<(Vec<u32>, Vec<u32>)> {
-            let (index, ids) = if file.has_section(compact_index) {
-                let index = crate::store_codec::decode_index(
-                    file.section(compact_index)?,
-                    n + 1,
-                    arcs.len() as u64,
-                    compact_index,
-                )?;
-                let ids = crate::store_codec::decode_grouped_ascending(
-                    file.section(compact_arcs)?,
-                    &index,
-                    arcs.len() as u64,
-                    compact_arcs,
-                )?;
-                (index, ids)
-            } else {
-                let mut r = file.reader(index_name)?;
-                let mut index = Vec::with_capacity(n + 1);
-                for _ in 0..n + 1 {
-                    index.push(r.get_u32()?);
-                }
-                r.expect_end(index_name)?;
-                if index[0] != 0 || index.windows(2).any(|w| w[0] > w[1]) {
-                    return Err(StoreError::Corrupt(format!(
-                        "{index_name} is not a monotone CSR index"
-                    )));
-                }
-                let count = index[n] as usize;
-                let mut r = file.reader(arcs_name)?;
-                let mut ids = Vec::with_capacity(count);
-                for _ in 0..count {
-                    ids.push(r.get_u32()?);
-                }
-                r.expect_end(arcs_name)?;
-                (index, ids)
-            };
-            check_csr_membership(&arcs, &rank, &index, &ids, forward, arcs_name)?;
-            Ok((index, ids))
-        };
-        let (fwd_index, fwd_arcs) =
-            read_csr("fwd_index_c", "fwd_arcs_c", "fwd_index", "fwd_arcs", true)?;
-        let (bwd_index, bwd_arcs) =
-            read_csr("bwd_index_c", "bwd_arcs_c", "bwd_index", "bwd_arcs", false)?;
-        Ok(ContractionHierarchy {
-            net,
-            rank: rank.into(),
-            arcs,
-            fwd_index: fwd_index.into(),
-            fwd_arcs: fwd_arcs.into(),
-            bwd_index: bwd_index.into(),
-            bwd_arcs: bwd_arcs.into(),
-            num_shortcuts,
-        })
+        MappedContractionHierarchy::from_file(net, press_store::StoreFile::from_bytes(bytes)?)?
+            .validate()
     }
 
     /// Loads a hierarchy artifact from `path` (one contiguous read).
@@ -1724,19 +1404,21 @@ impl ContractionHierarchy {
     }
 }
 
-/// Phase one of the zero-copy load path: a hierarchy artifact opened as
-/// a read-only mapping with **only its metadata touched** — magic,
-/// section table, the (small) `meta` section, the network fingerprint,
-/// and length-only checks that every flat section is present with
-/// exactly the declared extent. Open cost is O(page faults on a few KB),
-/// which is what makes mapped warm starts milliseconds instead of
-/// seconds; the flat payloads stay cold until [`Self::validate`].
+/// Phase one of loading a hierarchy artifact, with **only its metadata
+/// touched** — magic, section table, the (small) `meta` section, the
+/// network fingerprint, and length-only checks that every flat section
+/// is present with exactly the declared extent. Over a mapping
+/// ([`Self::open`]) that costs O(page faults on a few KB), which is what
+/// makes mapped warm starts milliseconds instead of seconds; the flat
+/// payloads stay cold until [`Self::validate`]. The owned
+/// [`ContractionHierarchy::from_store_bytes`] runs the same two phases
+/// over an in-memory buffer.
 ///
 /// `validate` is the only way forward: it consumes the handle, runs the
-/// per-section CRCs (lazily triggered on first touch) plus the
-/// structural bounds scans, and only then yields a usable
+/// per-section CRCs (lazily triggered on first touch when mapped) plus
+/// the structural scans, and only then yields a usable
 /// [`ContractionHierarchy`] — so no [`SpProvider`] can exist over
-/// unvalidated mapped bytes, and a bit-flip anywhere in a flat section
+/// unvalidated bytes, and a bit-flip anywhere in a flat section
 /// surfaces as a typed [`press_store::StoreError`], never a panic or a
 /// wrong answer.
 pub struct MappedContractionHierarchy {
@@ -1750,35 +1432,33 @@ pub struct MappedContractionHierarchy {
 impl MappedContractionHierarchy {
     /// Maps `path` and checks metadata only (see the type docs). Fails
     /// with a typed error on kind/fingerprint/extent mismatches and on
-    /// artifacts written before the flat tier existed (those load fine
-    /// through [`ContractionHierarchy::load_from`]).
+    /// artifacts written before the flat encoding existed.
     pub fn open(
         net: Arc<RoadNetwork>,
         path: &std::path::Path,
     ) -> press_store::Result<MappedContractionHierarchy> {
+        Self::from_file(net, press_store::StoreFile::open_mapped(path)?)
+    }
+
+    /// The metadata checks shared by the mapped and the owned load.
+    fn from_file(
+        net: Arc<RoadNetwork>,
+        file: press_store::StoreFile,
+    ) -> press_store::Result<MappedContractionHierarchy> {
         use press_store::StoreError;
-        let file = press_store::StoreFile::open_mapped(path)?;
         file.expect_kind(press_store::kind::CONTRACTION_HIERARCHY)?;
         let mut meta = file.reader("meta")?;
         let n = meta.get_len(u32::MAX as usize, "node")?;
         let num_arcs = meta.get_len(u32::MAX as usize, "arc")?;
         let num_shortcuts = meta.get_len(u32::MAX as usize, "shortcut")?;
         if meta.remaining() == 0 {
-            return Err(StoreError::Corrupt(
-                "hierarchy artifact predates the flat/mapped tier; re-save it \
-                 or load it owned"
-                    .into(),
-            ));
+            return Err(StoreError::Corrupt(format!(
+                "meta: {}",
+                crate::store_codec::PRE_FLAT_HINT
+            )));
         }
-        let fp = meta.get_u32()?;
+        crate::store_codec::check_edge_fingerprint(&net, meta.get_u32()?, "hierarchy")?;
         meta.expect_end("meta")?;
-        if fp != crate::store_codec::edge_fingerprint(&net) {
-            return Err(StoreError::Corrupt(
-                "hierarchy was built over a network with a different edge set \
-                 (weight fingerprint mismatch)"
-                    .into(),
-            ));
-        }
         if n != net.num_nodes() {
             return Err(StoreError::Corrupt(format!(
                 "hierarchy covers {n} nodes but the network has {}",
@@ -1791,47 +1471,17 @@ impl MappedContractionHierarchy {
                 net.num_edges()
             )));
         }
-        // Length-only presence checks (no payload touch, no CRC): the
-        // fixed-extent sections must match the meta counts exactly; the
-        // CSR payload extents are data-dependent and are reconciled
+        // The CSR payload extents are data-dependent and are reconciled
         // against their index at validate time.
-        let fixed = [
-            ("rank", n * 4),
-            ("arcs_f", num_arcs * 24),
-            ("fwd_index_f", (n + 1) * 4),
-            ("bwd_index_f", (n + 1) * 4),
-        ];
-        for (name, want) in fixed {
-            match file.section_len(name) {
-                None => {
-                    return Err(StoreError::Corrupt(format!(
-                        "{name}: artifact predates the flat/mapped tier; re-save it \
-                         or load it owned"
-                    )))
-                }
-                Some(len) if len != want => {
-                    return Err(StoreError::Corrupt(format!(
-                        "{name}: {len} B does not match the declared extent ({want} B)"
-                    )))
-                }
-                Some(_) => {}
-            }
-        }
-        for name in ["fwd_arcs_f", "bwd_arcs_f"] {
-            match file.section_len(name) {
-                None => {
-                    return Err(StoreError::Corrupt(format!(
-                        "{name}: artifact predates the flat/mapped tier; re-save it \
-                         or load it owned"
-                    )))
-                }
-                Some(len) if len % 4 != 0 => {
-                    return Err(StoreError::Corrupt(format!(
-                        "{name}: {len} B is not a whole number of u32 ids"
-                    )))
-                }
-                Some(_) => {}
-            }
+        for (name, want) in [
+            ("rank", Some(n * 4)),
+            ("arcs_f", Some(num_arcs * 24)),
+            ("fwd_index_f", Some((n + 1) * 4)),
+            ("fwd_arcs_f", None),
+            ("bwd_index_f", Some((n + 1) * 4)),
+            ("bwd_arcs_f", None),
+        ] {
+            crate::store_codec::check_flat_extent(&file, name, want)?;
         }
         Ok(MappedContractionHierarchy {
             net,
@@ -1842,12 +1492,11 @@ impl MappedContractionHierarchy {
         })
     }
 
-    /// Phase two: CRC every flat section on first touch, decode and
-    /// cross-check the arc set against the network, validate the rank
-    /// permutation and both CSR search graphs, and return the hierarchy
-    /// — its id arrays borrowing the mapping zero-copy (the mapping is
-    /// kept alive by the slices). Answers are bit-identical to an owned
-    /// [`ContractionHierarchy::load_from`] of the same artifact.
+    /// Phase two: CRC every flat section, decode and cross-check the arc
+    /// set against the network, validate the rank permutation and both
+    /// CSR search graphs, and return the hierarchy — its id arrays
+    /// borrowing the file's bytes zero-copy (the slices keep the mapping
+    /// or buffer alive).
     pub fn validate(self) -> press_store::Result<ContractionHierarchy> {
         use press_store::StoreError;
         let MappedContractionHierarchy {
@@ -2409,7 +2058,7 @@ mod tests {
     }
 
     #[test]
-    fn mapped_open_rejects_pre_flat_artifacts_that_owned_load_accepts() {
+    fn pre_flat_artifacts_are_refused_by_both_load_paths() {
         let net = Arc::new(grid_network(&GridConfig {
             nx: 4,
             ny: 4,
@@ -2418,23 +2067,33 @@ mod tests {
             ..GridConfig::default()
         }));
         let built = ContractionHierarchy::build(net.clone());
-        // Strip the flat sections, simulating an artifact from a build
-        // that predates the mapped tier.
+        // The shape artifacts had before the flat encoding: the same
+        // `meta` and `rank`, then delta+varint sections no reader decodes
+        // any more (stand-in payloads: nothing looks inside them).
         let file = press_store::StoreFile::from_bytes(built.to_store_bytes()).unwrap();
         let mut w = press_store::StoreWriter::new(press_store::kind::CONTRACTION_HIERARCHY);
-        for name in file.section_names() {
-            if !name.ends_with("_f") {
-                w.section(name, file.section(name).unwrap().to_vec());
-            }
+        for nm in ["meta", "rank"] {
+            w.section(nm, file.section(nm).unwrap().to_vec());
+        }
+        for nm in [
+            "arcs_c",
+            "fwd_index_c",
+            "fwd_arcs_c",
+            "bwd_index_c",
+            "bwd_arcs_c",
+        ] {
+            w.section(nm, vec![0; 8]);
         }
         let path = temp_artifact("map-legacy", &w.to_bytes());
-        assert!(matches!(
-            MappedContractionHierarchy::open(net.clone(), &path),
-            Err(press_store::StoreError::Corrupt(_))
-        ));
-        // The owned loader still accepts it — flat sections are additive.
-        assert!(ContractionHierarchy::load_from(net.clone(), &path).is_ok());
+        let owned = ContractionHierarchy::load_from(net.clone(), &path).err();
+        let mapped = MappedContractionHierarchy::open(net, &path).err();
         std::fs::remove_file(&path).unwrap();
+        for err in [owned, mapped] {
+            assert!(
+                matches!(&err, Some(press_store::StoreError::Corrupt(m)) if m.contains("predates")),
+                "expected an actionable Corrupt error, got {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -69,9 +69,9 @@ use std::sync::Arc;
 /// carried arc table) that reached the hub in `v`'s search tree —
 /// [`NO_ARC`] exactly for the self entry `(v, 0.0)`.
 ///
-/// The arrays are [`FlatSlice`]s: owned after a build or an owned load,
-/// zero-copy borrows of the artifact's flat sections after a mapped open
-/// ([`MappedHubLabels`]) — `Deref` keeps the query code identical.
+/// The arrays are [`FlatSlice`]s: owned after a build, zero-copy borrows
+/// of the artifact's flat sections after a load (mapped or owned, see
+/// [`MappedHubLabels`]) — `Deref` keeps the query code identical.
 struct LabelSet {
     index: FlatSlice<u32>,
     hub: FlatSlice<u32>,
@@ -477,25 +477,13 @@ impl HubLabels {
     // -----------------------------------------------------------------
 
     /// Serializes the labeling into a [`press_store`] container
-    /// (`sp_hl.press`). Everything derivable is derived rather than
-    /// stored: the arc set uses the shared compact codec of the
-    /// hierarchy artifact ([`crate::ch`]'s `arcs_c` — originals implicit,
-    /// shortcuts as child-id deltas), label hubs are strictly-ascending
-    /// delta varints, and label **distances are not stored at all** —
-    /// each entry's distance is exactly `dist(parent hub) + w(parent
-    /// arc)` in its search tree, so the loader recomputes them
-    /// bit-exactly from the parent chains (validating the chains in the
-    /// process). The compact sections therefore contain no
-    /// floating-point payload whatsoever.
-    ///
-    /// Alongside the compact sections the writer emits the **flat**
-    /// twins (`arcs_f`, `*_index_f`/`*_hub_f`/`*_dist_f`/`*_parent_f` —
-    /// fixed-width little-endian, 8-byte aligned) that the zero-copy
-    /// [`MappedHubLabels`] tier borrows in place; `*_dist_f` stores the
-    /// label distances as IEEE bit patterns precisely so the mapped open
-    /// can skip the recompute that dominates the owned load. Purely
-    /// additive: owned loads keep reading the compact sections and old
-    /// readers ignore the flat ones.
+    /// (`sp_hl.press`): the hierarchy's flat arc section (`arcs_f`) and,
+    /// per direction, the flat `*_index_f`/`*_hub_f`/`*_dist_f`/
+    /// `*_parent_f` arrays — fixed-width little-endian, 8-byte aligned,
+    /// so the zero-copy [`MappedHubLabels`] tier borrows them in place.
+    /// This is the artifact's only encoding. `*_dist_f` stores the label
+    /// distances as IEEE bit patterns; every load re-derives each one
+    /// from its parent chain and requires the stored bits to match.
     pub fn to_store_bytes(&self) -> Vec<u8> {
         let mut meta = press_store::ByteWriter::with_capacity(44);
         meta.put_u64(self.net.num_nodes() as u64);
@@ -503,42 +491,11 @@ impl HubLabels {
         meta.put_u64((self.arcs.len() - self.net.num_edges()) as u64);
         meta.put_u64(self.fwd.hub.len() as u64);
         meta.put_u64(self.bwd.hub.len() as u64);
-        // Pairing guard: arcs and distances are derived from the
-        // load-time network, so reject one with a different edge set.
         meta.put_u32(crate::store_codec::edge_fingerprint(&self.net));
-        let parents = |set: &LabelSet| {
-            let mut w = press_store::ByteWriter::with_capacity(set.parent.len() * 2);
-            for &p in set.parent.iter() {
-                w.put_uvarint(if p == NO_ARC { 0 } else { p as u64 + 1 });
-            }
-            w.into_bytes()
-        };
         let mut w = press_store::StoreWriter::new(press_store::kind::HUB_LABELS);
         w.section("meta", meta.into_bytes());
-        w.section(
-            "arcs_c",
-            crate::ch::encode_arcs_compact(&self.arcs, self.net.num_edges()),
-        );
-        w.section(
-            "fwd_index_c",
-            crate::store_codec::encode_index(&self.fwd.index),
-        );
-        w.section(
-            "fwd_hub_c",
-            crate::store_codec::encode_grouped_ascending(&self.fwd.index, &self.fwd.hub),
-        );
-        w.section("fwd_parent", parents(&self.fwd));
-        w.section(
-            "bwd_index_c",
-            crate::store_codec::encode_index(&self.bwd.index),
-        );
-        w.section(
-            "bwd_hub_c",
-            crate::store_codec::encode_grouped_ascending(&self.bwd.index, &self.bwd.hub),
-        );
-        w.section("bwd_parent", parents(&self.bwd));
         w.section_aligned("arcs_f", crate::ch::encode_arcs_flat(&self.arcs));
-        let mut flat = |prefix: &str, set: &LabelSet| {
+        for (prefix, set) in [("fwd", &self.fwd), ("bwd", &self.bwd)] {
             w.section_aligned(
                 &format!("{prefix}_index_f"),
                 crate::store_codec::encode_u32s_flat(&set.index),
@@ -555,9 +512,7 @@ impl HubLabels {
                 &format!("{prefix}_parent_f"),
                 crate::store_codec::encode_u32s_flat(&set.parent),
             );
-        };
-        flat("fwd", &self.fwd);
-        flat("bwd", &self.bwd);
+        }
         w.to_bytes()
     }
 
@@ -567,114 +522,18 @@ impl HubLabels {
         Ok(())
     }
 
-    /// Reconstructs a labeling over `net` from container bytes,
-    /// validating every structural invariant: the arc set (via the shared
-    /// compact decoder), CSR monotonicity, strictly ascending hubs within
-    /// bounds, and — while recomputing distances — that every parent arc
-    /// enters its own hub, every parent chain stays inside the label and
-    /// terminates at the node's self entry without cycling. Corrupt input
-    /// yields a typed error, never a panic or a silently wrong label.
+    /// Reconstructs a labeling over `net` from container bytes through
+    /// the same checks as a mapped open plus [`MappedHubLabels::validate`]:
+    /// the arc set cross-checked against the network, CSR shape, strictly
+    /// ascending in-bounds hubs, parent chains that stay inside the label,
+    /// never cycle and end at the node's self entry, and every stored
+    /// distance equal to its chain's sum. Corrupt input yields a typed
+    /// error, never a panic or a silently wrong label.
     pub fn from_store_bytes(
         net: Arc<RoadNetwork>,
         bytes: Vec<u8>,
     ) -> press_store::Result<HubLabels> {
-        use press_store::StoreError;
-        let file = press_store::StoreFile::from_bytes(bytes)?;
-        file.expect_kind(press_store::kind::HUB_LABELS)?;
-        let mut meta = file.reader("meta")?;
-        let n = meta.get_len(u32::MAX as usize, "node")?;
-        let num_arcs = meta.get_len(u32::MAX as usize, "arc")?;
-        let num_shortcuts = meta.get_len(u32::MAX as usize, "shortcut")?;
-        let fwd_entries = meta.get_len(u32::MAX as usize, "forward label entry")?;
-        let bwd_entries = meta.get_len(u32::MAX as usize, "backward label entry")?;
-        let fp = meta.get_u32()?;
-        meta.expect_end("meta")?;
-        if fp != crate::store_codec::edge_fingerprint(&net) {
-            return Err(StoreError::Corrupt(
-                "labeling was built over a network with a different edge set \
-                 (weight fingerprint mismatch)"
-                    .into(),
-            ));
-        }
-        if n != net.num_nodes() {
-            return Err(StoreError::Corrupt(format!(
-                "labeling covers {n} nodes but the network has {}",
-                net.num_nodes()
-            )));
-        }
-        if num_arcs < net.num_edges() || num_arcs - net.num_edges() != num_shortcuts {
-            return Err(StoreError::Corrupt(format!(
-                "arc count {num_arcs} inconsistent with {} original edges + {num_shortcuts} shortcuts",
-                net.num_edges()
-            )));
-        }
-        let arcs = crate::ch::decode_arcs_compact(&net, file.section("arcs_c")?, num_arcs)?;
-        let read_set = |index_name: &str,
-                        hub_name: &str,
-                        parent_name: &str,
-                        entries: usize,
-                        forward: bool|
-         -> press_store::Result<LabelSet> {
-            let index = crate::store_codec::decode_index(
-                file.section(index_name)?,
-                n + 1,
-                entries as u64,
-                index_name,
-            )?;
-            if index[n] as usize != entries {
-                return Err(StoreError::Corrupt(format!(
-                    "{index_name}: index covers {} entries but meta declares {entries}",
-                    index[n]
-                )));
-            }
-            let hub = crate::store_codec::decode_grouped_ascending(
-                file.section(hub_name)?,
-                &index,
-                n as u64,
-                hub_name,
-            )?;
-            let mut r = file.reader(parent_name)?;
-            let mut parent = Vec::with_capacity(entries);
-            for _ in 0..entries {
-                let p = r.get_uvarint()?;
-                if p == 0 {
-                    parent.push(NO_ARC);
-                } else if (p - 1) as usize >= num_arcs {
-                    return Err(StoreError::Corrupt(format!(
-                        "{parent_name}: parent arc {} outside 0..{num_arcs}",
-                        p - 1
-                    )));
-                } else {
-                    parent.push((p - 1) as u32);
-                }
-            }
-            r.expect_end(parent_name)?;
-            let mut dist = vec![0.0; entries];
-            recompute_dists(
-                &index,
-                &hub,
-                &parent,
-                &mut dist,
-                &arcs,
-                n,
-                forward,
-                parent_name,
-            )?;
-            Ok(LabelSet {
-                index: index.into(),
-                hub: hub.into(),
-                dist: dist.into(),
-                parent: parent.into(),
-            })
-        };
-        let fwd = read_set("fwd_index_c", "fwd_hub_c", "fwd_parent", fwd_entries, true)?;
-        let bwd = read_set("bwd_index_c", "bwd_hub_c", "bwd_parent", bwd_entries, false)?;
-        Ok(HubLabels {
-            net,
-            arcs,
-            fwd,
-            bwd,
-        })
+        MappedHubLabels::from_file(net, press_store::StoreFile::from_bytes(bytes)?)?.validate()
     }
 
     /// Loads a label artifact from `path` (one contiguous read).
@@ -696,24 +555,22 @@ impl HubLabels {
     }
 }
 
-/// Phase one of the zero-copy label load: the artifact mapped read-only
-/// with **only its metadata touched** — header, section table, the small
-/// `meta` section (counts + network fingerprint), and length-only checks
-/// that every flat section is present with exactly the declared extent.
-/// Open cost is O(page faults on a few KB) — this is the number the
-/// `hl_mmap_open` benchmark gate measures — versus the seconds-long
-/// owned load that varint-decodes every section and recomputes 10⁷-scale
-/// label distances.
+/// Phase one of loading a label artifact, with **only its metadata
+/// touched** — header, section table, the small `meta` section (counts +
+/// network fingerprint), and length-only checks that every flat section
+/// is present with exactly the declared extent. Over a mapping
+/// ([`Self::open`]) that costs O(page faults on a few KB) — the number
+/// the `hl_mmap_open` benchmark gate measures. The owned
+/// [`HubLabels::from_store_bytes`] runs the same two phases over an
+/// in-memory buffer.
 ///
 /// [`Self::validate`] is the only way to reach a queryable
-/// [`HubLabels`]: it consumes the handle, CRCs each flat section on
-/// first touch, decodes and cross-checks the arc set, and bounds-scans
-/// the label arrays, so no [`SpProvider`] exists over unvalidated
-/// mapped bytes and a bit-flip surfaces as a typed
-/// [`press_store::StoreError`] — never a panic or a wrong answer. The
-/// label *distances* are covered by CRC and trusted structurally (their
-/// semantic recomputation is exactly the cost this tier removes); see
-/// `docs/FORMATS.md` for the precise trust statement.
+/// [`HubLabels`]: it consumes the handle, CRCs each flat section (on
+/// first touch when mapped), cross-checks the arc set, and scans every
+/// label — hubs, parent chains, and each stored distance against its
+/// chain — so no [`SpProvider`] exists over unvalidated bytes and a
+/// corrupt or tampered section surfaces as a typed
+/// [`press_store::StoreError`], never a panic or a wrong answer.
 pub struct MappedHubLabels {
     net: Arc<RoadNetwork>,
     file: press_store::StoreFile,
@@ -726,14 +583,20 @@ pub struct MappedHubLabels {
 impl MappedHubLabels {
     /// Maps `path` and checks metadata only (see the type docs). Typed
     /// errors on kind/fingerprint/extent mismatches and on artifacts
-    /// written before the flat tier existed (those still load through
-    /// [`HubLabels::load_from`]).
+    /// written before the flat encoding existed.
     pub fn open(
         net: Arc<RoadNetwork>,
         path: &std::path::Path,
     ) -> press_store::Result<MappedHubLabels> {
+        Self::from_file(net, press_store::StoreFile::open_mapped(path)?)
+    }
+
+    /// The metadata checks shared by the mapped and the owned load.
+    fn from_file(
+        net: Arc<RoadNetwork>,
+        file: press_store::StoreFile,
+    ) -> press_store::Result<MappedHubLabels> {
         use press_store::StoreError;
-        let file = press_store::StoreFile::open_mapped(path)?;
         file.expect_kind(press_store::kind::HUB_LABELS)?;
         let mut meta = file.reader("meta")?;
         let n = meta.get_len(u32::MAX as usize, "node")?;
@@ -741,15 +604,8 @@ impl MappedHubLabels {
         let num_shortcuts = meta.get_len(u32::MAX as usize, "shortcut")?;
         let fwd_entries = meta.get_len(u32::MAX as usize, "forward label entry")?;
         let bwd_entries = meta.get_len(u32::MAX as usize, "backward label entry")?;
-        let fp = meta.get_u32()?;
+        crate::store_codec::check_edge_fingerprint(&net, meta.get_u32()?, "labeling")?;
         meta.expect_end("meta")?;
-        if fp != crate::store_codec::edge_fingerprint(&net) {
-            return Err(StoreError::Corrupt(
-                "labeling was built over a network with a different edge set \
-                 (weight fingerprint mismatch)"
-                    .into(),
-            ));
-        }
         if n != net.num_nodes() {
             return Err(StoreError::Corrupt(format!(
                 "labeling covers {n} nodes but the network has {}",
@@ -762,9 +618,7 @@ impl MappedHubLabels {
                 net.num_edges()
             )));
         }
-        // Length-only presence checks: no payload is touched (and hence
-        // no CRC runs), keeping the open O(metadata).
-        let need = [
+        for (name, want) in [
             ("arcs_f", num_arcs * 24),
             ("fwd_index_f", (n + 1) * 4),
             ("fwd_hub_f", fwd_entries * 4),
@@ -774,22 +628,8 @@ impl MappedHubLabels {
             ("bwd_hub_f", bwd_entries * 4),
             ("bwd_dist_f", bwd_entries * 8),
             ("bwd_parent_f", bwd_entries * 4),
-        ];
-        for (name, want) in need {
-            match file.section_len(name) {
-                None => {
-                    return Err(StoreError::Corrupt(format!(
-                        "{name}: artifact predates the flat/mapped tier; re-save it \
-                         or load it owned"
-                    )))
-                }
-                Some(len) if len != want => {
-                    return Err(StoreError::Corrupt(format!(
-                        "{name}: {len} B does not match the declared extent ({want} B)"
-                    )))
-                }
-                Some(_) => {}
-            }
+        ] {
+            crate::store_codec::check_flat_extent(&file, name, Some(want))?;
         }
         Ok(MappedHubLabels {
             net,
@@ -801,15 +641,11 @@ impl MappedHubLabels {
         })
     }
 
-    /// Phase two: CRC every flat section on first touch, decode and
-    /// cross-check the arc set against the network, and bounds-scan the
-    /// label arrays — CSR shape, strictly ascending in-bounds hubs,
-    /// parent arcs in range and entering their hub, the parentless self
-    /// entry. Returns labels whose arrays borrow the mapping zero-copy
-    /// (the mapping stays alive through them), answering bit-identically
-    /// to an owned [`HubLabels::load_from`] of the same artifact.
+    /// Phase two: CRC every flat section, decode and cross-check the arc
+    /// set against the network, and validate both label sets (see
+    /// `check_label_set`). Returns labels whose arrays borrow the file's
+    /// bytes zero-copy (the slices keep the mapping or buffer alive).
     pub fn validate(self) -> press_store::Result<HubLabels> {
-        use press_store::StoreError;
         let MappedHubLabels {
             net,
             file,
@@ -821,68 +657,20 @@ impl MappedHubLabels {
         let arcs = crate::ch::decode_arcs_flat(&net, file.section("arcs_f")?, num_arcs)?;
         let read_set =
             |prefix: &str, entries: usize, forward: bool| -> press_store::Result<LabelSet> {
-                let index: FlatSlice<u32> = file.flat_section(&format!("{prefix}_index_f"))?;
-                let hub: FlatSlice<u32> = file.flat_section(&format!("{prefix}_hub_f"))?;
-                let dist: FlatSlice<f64> = file.flat_section(&format!("{prefix}_dist_f"))?;
-                let parent: FlatSlice<u32> = file.flat_section(&format!("{prefix}_parent_f"))?;
+                let set = LabelSet {
+                    index: file.flat_section(&format!("{prefix}_index_f"))?,
+                    hub: file.flat_section(&format!("{prefix}_hub_f"))?,
+                    dist: file.flat_section(&format!("{prefix}_dist_f"))?,
+                    parent: file.flat_section(&format!("{prefix}_parent_f"))?,
+                };
                 crate::store_codec::check_flat_index(
-                    &index,
+                    &set.index,
                     n + 1,
                     entries as u64,
                     &format!("{prefix}_index_f"),
                 )?;
-                for v in 0..n {
-                    let lo = index[v] as usize;
-                    let hi = index[v + 1] as usize;
-                    let mut prev: Option<u32> = None;
-                    let mut has_self = hi == lo;
-                    for k in lo..hi {
-                        let h = hub[k];
-                        if h as usize >= n || prev.is_some_and(|p| p >= h) {
-                            return Err(StoreError::Corrupt(format!(
-                                "{prefix}_hub_f: hubs of node {v} are not strictly \
-                             ascending node ids"
-                            )));
-                        }
-                        prev = Some(h);
-                        let pa = parent[k];
-                        if pa == NO_ARC {
-                            if h != v as u32 {
-                                return Err(StoreError::Corrupt(format!(
-                                    "{prefix}_parent_f: entry for hub {h} of node {v} \
-                                 has no parent arc"
-                                )));
-                            }
-                            has_self = true;
-                        } else {
-                            if pa as usize >= num_arcs {
-                                return Err(StoreError::Corrupt(format!(
-                                    "{prefix}_parent_f: parent arc {pa} outside 0..{num_arcs}"
-                                )));
-                            }
-                            let arc = arcs[pa as usize];
-                            let enters = if forward { arc.head } else { arc.tail };
-                            if enters.0 != h {
-                                return Err(StoreError::Corrupt(format!(
-                                    "{prefix}_parent_f: parent arc {pa} of node {v}'s \
-                                 hub {h} does not enter it"
-                                )));
-                            }
-                        }
-                    }
-                    if !has_self {
-                        return Err(StoreError::Corrupt(format!(
-                            "{prefix}_parent_f: label of node {v} lacks a parentless \
-                         self entry"
-                        )));
-                    }
-                }
-                Ok(LabelSet {
-                    index,
-                    hub,
-                    dist,
-                    parent,
-                })
+                check_label_set(&set, &arcs, n, forward, prefix)?;
+                Ok(set)
             };
         let fwd = read_set("fwd", fwd_entries, true)?;
         let bwd = read_set("bwd", bwd_entries, false)?;
@@ -905,100 +693,92 @@ impl std::fmt::Debug for MappedHubLabels {
     }
 }
 
-/// Recomputes every label distance from its parent chain — the exact
-/// float sums the build produced — validating chain structure along the
-/// way (see [`HubLabels::from_store_bytes`]).
-#[allow(clippy::too_many_arguments)]
-fn recompute_dists(
-    index: &[u32],
-    hub: &[u32],
-    parent: &[u32],
-    dist: &mut [f64],
+/// Validates one direction's labels (CSR shape already checked): per
+/// node, hubs are strictly ascending node ids, and every entry's parent
+/// arc is in range, enters its hub and leaves a hub of the same label.
+/// Each stored distance must equal, bit for bit, its parent entry's
+/// stored distance plus the parent arc's weight — the exact float sum the
+/// build produced — and must be strictly greater than it. Distances thus
+/// strictly fall along every parent chain, so no chain can cycle, and
+/// each one ends at a parentless entry, which must be the node's self
+/// entry at distance 0. By induction from that root, every stored
+/// distance is its chain's sum. `prefix` ("fwd"/"bwd") names the
+/// sections in errors.
+fn check_label_set(
+    set: &LabelSet,
     arcs: &[ChArc],
     n: usize,
     forward: bool,
-    what: &str,
+    prefix: &str,
 ) -> press_store::Result<()> {
     use press_store::StoreError;
-    // 0 = unresolved, 1 = on the resolution stack, 2 = done.
-    let mut state: Vec<u8> = Vec::new();
-    let mut stack: Vec<usize> = Vec::new();
     for v in 0..n {
-        let lo = index[v] as usize;
-        let hi = index[v + 1] as usize;
-        let count = hi - lo;
-        if count == 0 {
-            continue;
+        let lo = set.index[v] as usize;
+        let hi = set.index[v + 1] as usize;
+        let hubs = &set.hub[lo..hi];
+        let dist = &set.dist[lo..hi];
+        if hubs.iter().any(|&h| h as usize >= n) || hubs.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(StoreError::Corrupt(format!(
+                "{prefix}_hub_f: hubs of node {v} are not strictly ascending node ids"
+            )));
         }
-        // Every non-empty label roots at the node's self entry.
-        let self_pos = hub[lo..hi].binary_search(&(v as u32));
-        match self_pos {
-            Ok(k) if parent[lo + k] == NO_ARC => {}
-            _ => {
+        let mut has_self = hubs.is_empty();
+        for (k, (&h, &d)) in hubs.iter().zip(dist).enumerate() {
+            let pa = set.parent[lo + k];
+            if pa == NO_ARC {
+                if h != v as u32 {
+                    return Err(StoreError::Corrupt(format!(
+                        "{prefix}_parent_f: entry for hub {h} of node {v} has no parent arc"
+                    )));
+                }
+                if d.to_bits() != 0.0f64.to_bits() {
+                    return Err(StoreError::Corrupt(format!(
+                        "{prefix}_dist_f: self entry of node {v} is not at distance 0"
+                    )));
+                }
+                has_self = true;
+                continue;
+            }
+            let Some(arc) = arcs.get(pa as usize) else {
                 return Err(StoreError::Corrupt(format!(
-                    "{what}: label of node {v} lacks a parentless self entry"
+                    "{prefix}_parent_f: parent arc {pa} outside 0..{}",
+                    arcs.len()
+                )));
+            };
+            let (enters, from) = if forward {
+                (arc.head, arc.tail)
+            } else {
+                (arc.tail, arc.head)
+            };
+            if enters.0 != h {
+                return Err(StoreError::Corrupt(format!(
+                    "{prefix}_parent_f: parent arc {pa} of node {v}'s hub {h} does not enter it"
+                )));
+            }
+            let Ok(pk) = hubs.binary_search(&from.0) else {
+                return Err(StoreError::Corrupt(format!(
+                    "{prefix}_parent_f: parent chain of node {v} leaves the label at hub {}",
+                    from.0
+                )));
+            };
+            // A NaN on either side compares as `None` and fails too.
+            if dist[pk].partial_cmp(&d) != Some(std::cmp::Ordering::Less) {
+                return Err(StoreError::Corrupt(format!(
+                    "{prefix}_parent_f: parent chain of node {v} does not descend at hub {h} \
+                     (a cycle or a non-positive arc)"
+                )));
+            }
+            if (dist[pk] + arc.weight).to_bits() != d.to_bits() {
+                return Err(StoreError::Corrupt(format!(
+                    "{prefix}_dist_f: distance of node {v}'s hub {h} does not match its \
+                     parent chain"
                 )));
             }
         }
-        state.clear();
-        state.resize(count, 0);
-        for start in 0..count {
-            if state[start] == 2 {
-                continue;
-            }
-            stack.clear();
-            stack.push(start);
-            state[start] = 1;
-            while let Some(&cur) = stack.last() {
-                let pa = parent[lo + cur];
-                if pa == NO_ARC {
-                    if hub[lo + cur] != v as u32 {
-                        return Err(StoreError::Corrupt(format!(
-                            "{what}: entry for hub {} of node {v} has no parent arc",
-                            hub[lo + cur]
-                        )));
-                    }
-                    dist[lo + cur] = 0.0;
-                    state[cur] = 2;
-                    stack.pop();
-                    continue;
-                }
-                let arc = arcs[pa as usize];
-                let (enters, from) = if forward {
-                    (arc.head, arc.tail)
-                } else {
-                    (arc.tail, arc.head)
-                };
-                if enters.0 != hub[lo + cur] {
-                    return Err(StoreError::Corrupt(format!(
-                        "{what}: parent arc {pa} of node {v}'s hub {} does not enter it",
-                        hub[lo + cur]
-                    )));
-                }
-                let Ok(pk) = hub[lo..hi].binary_search(&from.0) else {
-                    return Err(StoreError::Corrupt(format!(
-                        "{what}: parent chain of node {v} leaves the label at hub {}",
-                        from.0
-                    )));
-                };
-                match state[pk] {
-                    2 => {
-                        dist[lo + cur] = dist[lo + pk] + arc.weight;
-                        state[cur] = 2;
-                        stack.pop();
-                    }
-                    1 => {
-                        return Err(StoreError::Corrupt(format!(
-                            "{what}: parent chain of node {v} cycles at hub {}",
-                            from.0
-                        )));
-                    }
-                    _ => {
-                        state[pk] = 1;
-                        stack.push(pk);
-                    }
-                }
-            }
+        if !has_self {
+            return Err(StoreError::Corrupt(format!(
+                "{prefix}_parent_f: label of node {v} lacks a parentless self entry"
+            )));
         }
     }
     Ok(())
@@ -1261,8 +1041,8 @@ mod tests {
         assert_eq!(loaded.bwd.index, built.bwd.index);
         assert_eq!(loaded.bwd.hub, built.bwd.hub);
         assert_eq!(loaded.bwd.parent, built.bwd.parent);
-        // Distances were NOT stored — they were recomputed from parent
-        // chains — and still match bit-for-bit.
+        // Distances round-trip bit-for-bit (and the load verified each
+        // one against its parent chain).
         for (a, b) in built.fwd.dist.iter().zip(loaded.fwd.dist.iter()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -1279,36 +1059,6 @@ mod tests {
                 assert_eq!(built.pred_edge(u, v), loaded.pred_edge(u, v));
             }
         }
-    }
-
-    #[test]
-    fn store_artifact_is_compact() {
-        let net = Arc::new(grid_network(&GridConfig {
-            nx: 8,
-            ny: 8,
-            weight_jitter: 0.15,
-            seed: 3,
-            ..GridConfig::default()
-        }));
-        let hl = HubLabels::build(net.clone());
-        // The *compact* sections store no floats and delta-code every id
-        // array, so they must be well under half the resident footprint.
-        // The flat (`*_f`) twins exist for the mapped tier and are
-        // full-width by design — exclude them from the compactness claim.
-        let bytes = hl.to_store_bytes();
-        let file = press_store::StoreFile::from_bytes(bytes.clone()).unwrap();
-        let flat: usize = file
-            .section_names()
-            .filter(|nm| nm.ends_with("_f"))
-            .map(|nm| file.section_len(nm).unwrap())
-            .sum();
-        assert!(flat > 0, "flat twins missing from the artifact");
-        assert!(
-            (bytes.len() - flat) * 2 < hl.approx_bytes(),
-            "compact sections {} B vs resident {} B",
-            bytes.len() - flat,
-            hl.approx_bytes()
-        );
     }
 
     #[test]
@@ -1388,8 +1138,7 @@ mod tests {
         let path = temp_artifact("hl-identical", &built.to_store_bytes());
         let mapped = HubLabels::open_mapped(net.clone(), &path).unwrap();
         std::fs::remove_file(&path).unwrap();
-        // Field-for-field identity, including the distances the owned
-        // load recomputes but the mapped open reads straight from disk.
+        // Field-for-field identity, including the stored distances.
         assert_eq!(mapped.fwd.index, built.fwd.index);
         assert_eq!(mapped.fwd.hub, built.fwd.hub);
         assert_eq!(mapped.fwd.parent, built.fwd.parent);
@@ -1449,7 +1198,7 @@ mod tests {
     }
 
     #[test]
-    fn mapped_open_rejects_pre_flat_artifacts_that_owned_load_accepts() {
+    fn pre_flat_artifacts_are_refused_by_both_load_paths() {
         let net = Arc::new(grid_network(&GridConfig {
             nx: 4,
             ny: 4,
@@ -1458,29 +1207,84 @@ mod tests {
             ..GridConfig::default()
         }));
         let bytes = HubLabels::build(net.clone()).to_store_bytes();
-        // Rebuild the container with every flat twin stripped — the shape
-        // artifacts had before this tier existed.
+        // The shape artifacts had before the flat encoding: the same
+        // `meta`, then delta+varint sections no reader decodes any more
+        // (stand-in payloads: nothing looks inside them).
         let file = press_store::StoreFile::from_bytes(bytes).unwrap();
         let mut w = press_store::StoreWriter::new(press_store::kind::HUB_LABELS);
-        let names: Vec<String> = file
-            .section_names()
-            .filter(|nm| !nm.ends_with("_f"))
-            .map(str::to_owned)
-            .collect();
-        for nm in &names {
-            w.section(nm, file.section(nm).unwrap().to_vec());
+        w.section("meta", file.section("meta").unwrap().to_vec());
+        for nm in [
+            "arcs_c",
+            "fwd_index_c",
+            "fwd_hub_c",
+            "fwd_parent",
+            "bwd_index_c",
+            "bwd_hub_c",
+            "bwd_parent",
+        ] {
+            w.section(nm, vec![0; 8]);
         }
         let path = temp_artifact("hl-preflat", &w.to_bytes());
-        let mapped = MappedHubLabels::open(net.clone(), &path);
-        assert!(
-            matches!(mapped, Err(press_store::StoreError::Corrupt(_))),
-            "expected an actionable Corrupt error, got {mapped:?}"
-        );
-        // The owned loader still accepts the stripped artifact: the flat
-        // tier is additive, not a format break.
-        let owned = HubLabels::load_from(net, &path).unwrap();
+        let owned = HubLabels::load_from(net.clone(), &path).err();
+        let mapped = MappedHubLabels::open(net, &path).err();
         std::fs::remove_file(&path).unwrap();
-        assert!(owned.fwd.index.len() > 1);
+        for err in [owned, mapped] {
+            assert!(
+                matches!(&err, Some(press_store::StoreError::Corrupt(m)) if m.contains("predates")),
+                "expected an actionable Corrupt error, got {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn tampered_distances_are_refused_by_both_load_paths() {
+        let net = Arc::new(grid_network(&GridConfig {
+            nx: 5,
+            ny: 5,
+            weight_jitter: 0.12,
+            seed: 9,
+            ..GridConfig::default()
+        }));
+        let built = HubLabels::build(net.clone());
+        let bytes = built.to_store_bytes();
+        let with_parent = built.fwd.parent.iter().position(|&p| p != NO_ARC).unwrap();
+        let self_entry = built.bwd.parent.iter().position(|&p| p == NO_ARC).unwrap();
+        // One ulp off a derived distance, and a self entry moved off 0.
+        let cases = [
+            (
+                "fwd_dist_f",
+                with_parent,
+                built.fwd.dist[with_parent].to_bits() + 1,
+            ),
+            ("bwd_dist_f", self_entry, 1.0f64.to_bits()),
+        ];
+        for (section, k, bits) in cases {
+            // Rebuild the container so every CRC is consistent and only
+            // the semantic check can notice.
+            let file = press_store::StoreFile::from_bytes(bytes.clone()).unwrap();
+            let mut w = press_store::StoreWriter::new(press_store::kind::HUB_LABELS);
+            for nm in file.section_names() {
+                let mut payload = file.section(nm).unwrap().to_vec();
+                if nm == section {
+                    payload[k * 8..k * 8 + 8].copy_from_slice(&bits.to_le_bytes());
+                }
+                if nm.ends_with("_f") {
+                    w.section_aligned(nm, payload);
+                } else {
+                    w.section(nm, payload);
+                }
+            }
+            let path = temp_artifact("hl-tampered", &w.to_bytes());
+            let owned = HubLabels::load_from(net.clone(), &path).err();
+            let mapped = HubLabels::open_mapped(net.clone(), &path).err();
+            std::fs::remove_file(&path).unwrap();
+            for err in [owned, mapped] {
+                assert!(
+                    matches!(&err, Some(press_store::StoreError::Corrupt(m)) if m.contains(section)),
+                    "expected a typed Corrupt error naming {section}, got {err:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -778,26 +778,6 @@ impl ByteWriter {
         self.put_u64(v.to_bits());
     }
 
-    /// Appends an unsigned LEB128 varint (1 byte for values < 128, 7
-    /// payload bits per byte thereafter). The codec behind the
-    /// delta-compressed id sections: monotone id arrays (CSR indices,
-    /// sorted hub lists, mostly-sequential arc endpoints) delta down to
-    /// tiny values, so one byte per element is the common case.
-    pub fn put_uvarint(&mut self, mut v: u64) {
-        while v >= 0x80 {
-            self.buf.push((v as u8 & 0x7F) | 0x80);
-            v >>= 7;
-        }
-        self.buf.push(v as u8);
-    }
-
-    /// Appends a signed varint (zigzag + LEB128), for deltas that can go
-    /// either way (arc tails between consecutive shortcut arcs, unpack
-    /// children relative to their parent id).
-    pub fn put_ivarint(&mut self, v: i64) {
-        self.put_uvarint(((v << 1) ^ (v >> 63)) as u64);
-    }
-
     /// Appends raw bytes.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
@@ -879,35 +859,6 @@ impl<'a> ByteReader<'a> {
     /// Reads an `f64` from its IEEE bit pattern.
     pub fn get_f64(&mut self) -> Result<f64> {
         Ok(f64::from_bits(self.get_u64()?))
-    }
-
-    /// Reads an unsigned LEB128 varint (see [`ByteWriter::put_uvarint`]).
-    /// Over-long encodings (more than 10 bytes, or bits beyond the 64th)
-    /// are corruption, not extensions.
-    pub fn get_uvarint(&mut self) -> Result<u64> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let b = self.take(1, "varint")?[0];
-            let payload = (b & 0x7F) as u64;
-            if shift == 63 && payload > 1 {
-                return Err(StoreError::Corrupt("varint overflows u64".into()));
-            }
-            v |= payload << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-            if shift > 63 {
-                return Err(StoreError::Corrupt("varint longer than 10 bytes".into()));
-            }
-        }
-    }
-
-    /// Reads a signed zigzag varint (see [`ByteWriter::put_ivarint`]).
-    pub fn get_ivarint(&mut self) -> Result<i64> {
-        let z = self.get_uvarint()?;
-        Ok((z >> 1) as i64 ^ -((z & 1) as i64))
     }
 
     /// Reads `n` raw bytes.
@@ -1094,77 +1045,6 @@ mod tests {
         assert!(matches!(
             ByteReader::new(&bytes[..3]).get_f64(),
             Err(StoreError::Truncated { .. })
-        ));
-    }
-
-    #[test]
-    fn varints_roundtrip_and_reject_overlong() {
-        let mut w = ByteWriter::new();
-        let unsigned = [
-            0u64,
-            1,
-            127,
-            128,
-            300,
-            16383,
-            16384,
-            u32::MAX as u64,
-            u64::MAX,
-        ];
-        let signed = [
-            0i64,
-            1,
-            -1,
-            63,
-            -64,
-            64,
-            -65,
-            i32::MAX as i64,
-            i64::MIN,
-            i64::MAX,
-        ];
-        for &v in &unsigned {
-            w.put_uvarint(v);
-        }
-        for &v in &signed {
-            w.put_ivarint(v);
-        }
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        for &v in &unsigned {
-            assert_eq!(r.get_uvarint().unwrap(), v);
-        }
-        for &v in &signed {
-            assert_eq!(r.get_ivarint().unwrap(), v);
-        }
-        r.expect_end("varints").unwrap();
-        // Small values are one byte; u64::MAX is the 10-byte ceiling.
-        let mut w = ByteWriter::new();
-        w.put_uvarint(127);
-        assert_eq!(w.len(), 1);
-        let mut w = ByteWriter::new();
-        w.put_uvarint(u64::MAX);
-        assert_eq!(w.len(), 10);
-        // Truncation mid-varint is typed.
-        let mut w = ByteWriter::new();
-        w.put_uvarint(1 << 40);
-        let bytes = w.into_bytes();
-        assert!(matches!(
-            ByteReader::new(&bytes[..2]).get_uvarint(),
-            Err(StoreError::Truncated { .. })
-        ));
-        // An 11-byte continuation chain is corruption, not a value.
-        let overlong = [0x80u8; 11];
-        assert!(matches!(
-            ByteReader::new(&overlong).get_uvarint(),
-            Err(StoreError::Corrupt(_))
-        ));
-        // A 10th byte carrying bits beyond the 64th is corruption.
-        let mut bad = [0x80u8; 10];
-        bad[9] = 0x02;
-        assert!(matches!(
-            ByteReader::new(&bad).get_uvarint(),
-            Err(StoreError::Corrupt(_))
         ));
     }
 

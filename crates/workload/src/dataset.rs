@@ -1,4 +1,4 @@
-//! Dataset assembly: the Singapore-taxi stand-in (DESIGN.md §2).
+//! Dataset assembly: the Singapore-taxi stand-in.
 //!
 //! A [`Workload`] is a deterministic, seeded collection of
 //! [`TrajectoryRecord`]s over one road network. Each record carries its
