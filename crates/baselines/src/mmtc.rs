@@ -240,7 +240,7 @@ pub fn compress(sp: &dyn SpProvider, traj: &Trajectory, cfg: &MmtcConfig) -> Mmt
 #[cfg(test)]
 mod tests {
     use super::*;
-    use press_network::{grid_network, GridConfig, LazySpCache};
+    use press_network::{grid_network, ContractionHierarchy, GridConfig};
     use std::sync::Arc;
 
     /// A deliberately wiggly path (staircase) that a fewer-intersection
@@ -284,7 +284,7 @@ mod tests {
         }
         pts.push(DtPoint::new(total, t));
         (
-            Arc::new(LazySpCache::with_default_config(net.clone())),
+            Arc::new(ContractionHierarchy::build(net.clone())),
             Trajectory::new(
                 SpatialPath::new_unchecked(path),
                 TemporalSequence::new(pts).unwrap(),

@@ -1,6 +1,5 @@
-//! SP-backend benchmarks: dense [`SpTable`] vs lazy [`LazySpCache`] vs
-//! the contraction hierarchy vs 2-hop hub labels, behind the same
-//! `SpProvider` trait.
+//! SP-backend benchmarks: the dense `SpTable` vs the contraction
+//! hierarchy vs 2-hop hub labels, behind the same `SpProvider` trait.
 //!
 //! Three claims are measured (see also the `sp_backend_report` binary,
 //! which writes `BENCH_sp_backend.json` with the large-scale numbers):
@@ -12,7 +11,8 @@
 //!    timings run under every backend on the standard 16×16 environment.
 //! 3. **Feasibility at large scale** — a ≥100k-node grid, where the dense
 //!    table would need ~126 GB (`|V|²·12` bytes) and is not even
-//!    constructed, runs train+compress end-to-end under the lazy backend.
+//!    constructed, runs train+compress end-to-end under the contraction
+//!    hierarchy.
 //!
 //! Also here: the opt-in binary-search `Dis`/`Tim` variants vs the
 //! paper-faithful linear scans (satellite of the same PR).
@@ -40,20 +40,14 @@ fn random_edge_pairs(num_edges: usize, n: usize, seed: u64) -> Vec<(EdgeId, Edge
         .collect()
 }
 
-/// Lookup microbenchmarks over both backends, with an equality check on
+/// Lookup microbenchmarks over every backend, with an equality check on
 /// every pair actually probed.
 fn bench_lookups(c: &mut Criterion) {
     let dense_env = Env::standard(Scale::Small, 3);
-    let lazy_env = Env::standard_with_backend(Scale::Small, 3, SpBackend::lazy());
     let ch_env = Env::standard_with_backend(Scale::Small, 3, SpBackend::Ch);
     let hl_env = Env::standard_with_backend(Scale::Small, 3, SpBackend::Hl);
     let pairs = random_edge_pairs(dense_env.net.num_edges(), 2000, 42);
     for &(a, b) in &pairs {
-        assert_eq!(
-            dense_env.sp.gap_dist(a, b).to_bits(),
-            lazy_env.sp.gap_dist(a, b).to_bits(),
-            "backends disagree on gap_dist({a}, {b})"
-        );
         assert_eq!(
             dense_env.sp.gap_dist(a, b).to_bits(),
             ch_env.sp.gap_dist(a, b).to_bits(),
@@ -64,7 +58,6 @@ fn bench_lookups(c: &mut Criterion) {
             hl_env.sp.gap_dist(a, b).to_bits(),
             "hl disagrees on gap_dist({a}, {b})"
         );
-        assert_eq!(dense_env.sp.sp_end(a, b), lazy_env.sp.sp_end(a, b));
         assert_eq!(dense_env.sp.sp_end(a, b), ch_env.sp.sp_end(a, b));
         assert_eq!(dense_env.sp.sp_end(a, b), hl_env.sp.sp_end(a, b));
     }
@@ -76,13 +69,6 @@ fn bench_lookups(c: &mut Criterion) {
         bch.iter(|| {
             for &(a, b) in &pairs {
                 black_box(dense_env.sp.gap_dist(a, b));
-            }
-        })
-    });
-    group.bench_function("lazy", |bch| {
-        bch.iter(|| {
-            for &(a, b) in &pairs {
-                black_box(lazy_env.sp.gap_dist(a, b));
             }
         })
     });
@@ -113,10 +99,10 @@ fn bench_lookups(c: &mut Criterion) {
             }
         })
     });
-    group.bench_function("lazy_memoized", |bch| {
+    group.bench_function("hl", |bch| {
         bch.iter(|| {
             for &(a, b) in &pairs {
-                black_box(lazy_env.sp.sp_mbr(a, b));
+                black_box(hl_env.sp.sp_mbr(a, b));
             }
         })
     });
@@ -131,7 +117,6 @@ fn bench_train_compress(c: &mut Criterion) {
         .sample_size(5);
     for (name, backend) in [
         ("dense", SpBackend::Dense),
-        ("lazy", SpBackend::lazy()),
         ("ch", SpBackend::Ch),
         ("hl", SpBackend::Hl),
     ] {
@@ -150,10 +135,11 @@ fn bench_train_compress(c: &mut Criterion) {
 }
 
 /// Train + compress on a 100k-node grid — a scale where `SpTable::build`
-/// would allocate `|V|²·12 ≈ 126 GB` and is infeasible; only the lazy
-/// backend runs. Kept to one measured sample: the point is *completing*
-/// at a bounded footprint, which the report binary quantifies.
-fn bench_large_scale_lazy(c: &mut Criterion) {
+/// would allocate `|V|²·12 ≈ 126 GB` and is infeasible; the contraction
+/// hierarchy runs instead (its one-time build is not timed). Kept to one
+/// measured sample: the point is *completing* at a bounded footprint,
+/// which the report binary quantifies.
+fn bench_large_scale_ch(c: &mut Criterion) {
     let nx = std::env::var("SP_BENCH_LARGE_NX")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -168,15 +154,12 @@ fn bench_large_scale_lazy(c: &mut Criterion) {
     }));
     let dense_hypothetical_bytes = net.num_nodes() * net.num_nodes() * 12;
     println!(
-        "large grid: {} nodes / {} edges; dense table would need {:.1} GiB — running lazy only",
+        "large grid: {} nodes / {} edges; dense table would need {:.1} GiB — running CH only",
         net.num_nodes(),
         net.num_edges(),
         dense_hypothetical_bytes as f64 / (1u64 << 30) as f64
     );
-    let sp = SpBackend::Lazy {
-        capacity_trees: 512,
-    }
-    .build(net.clone());
+    let sp = SpBackend::Ch.build(net.clone());
     let workload = press_workload::Workload::generate(
         net.clone(),
         sp.clone(),
@@ -199,7 +182,7 @@ fn bench_large_scale_lazy(c: &mut Criterion) {
     group
         .measurement_time(Duration::from_millis(1))
         .sample_size(1);
-    group.bench_function("lazy_train_compress", |bch| {
+    group.bench_function("ch_train_compress", |bch| {
         bch.iter(|| {
             let press = Press::train(sp.clone(), &training, PressConfig::default()).unwrap();
             black_box(press.compress_batch(&trajs, 2).unwrap())
@@ -207,9 +190,8 @@ fn bench_large_scale_lazy(c: &mut Criterion) {
     });
     group.finish();
     println!(
-        "lazy backend resident after run: {:.1} MiB (bound {:.1} MiB); dense/lazy memory ratio {:.0}x",
+        "CH resident: {:.1} MiB; dense/CH memory ratio {:.0}x",
         sp.approx_bytes() as f64 / (1 << 20) as f64,
-        (512 * net.num_nodes() * 16) as f64 / (1 << 20) as f64,
         dense_hypothetical_bytes as f64 / sp.approx_bytes().max(1) as f64
     );
 }
@@ -257,6 +239,6 @@ criterion_group!(
     bench_lookups,
     bench_scan_modes,
     bench_train_compress,
-    bench_large_scale_lazy
+    bench_large_scale_ch
 );
 criterion_main!(benches);

@@ -373,9 +373,8 @@ impl<'a> QueryEngine<'a> {
         let mut acc = 0.0f64;
         let mut cur = net.edge(b).from;
         let target = net.edge(a).to;
-        // One tree fetch for the whole walk: lazy backends hand out the
-        // Arc'd tree (one cache touch instead of per-node), dense backends
-        // answer per-node from the table.
+        // One tree fetch for the whole walk when the backend can hand out
+        // a tree; otherwise (every built-in backend) answer per node.
         let tree = sp.source_tree(target);
         let pred = |cur: press_network::NodeId| -> Option<EdgeId> {
             match &tree {

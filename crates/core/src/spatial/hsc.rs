@@ -91,7 +91,7 @@ impl HscModel {
     /// trajectory corpus **after** SP compression; we take raw paths and
     /// apply SP compression here so callers can't get the order wrong).
     ///
-    /// * `sp` — shortest-path provider (dense table or lazy cache).
+    /// * `sp` — shortest-path provider (any [`SpBackend`](press_network::SpBackend)).
     /// * `training_paths` — raw (uncompressed) spatial paths.
     /// * `theta` — maximum FST length (paper's optimum for its data: 3).
     pub fn train(

@@ -2,11 +2,11 @@
 //! [`SpProvider`] backend.
 //!
 //! The dense [`SpTable`](crate::SpTable) answers point lookups in `O(1)`
-//! but stores `O(|V|²)` entries; the [`LazySpCache`](crate::LazySpCache)
-//! stores almost nothing but pays a full Dijkstra on every cache miss.
-//! A contraction hierarchy sits between the two: an `O(|V| + shortcuts)`
-//! structure built once per network, answering random point queries in
-//! microseconds by searching only "upward" in a node hierarchy.
+//! but stores `O(|V|²)` entries; a plain Dijkstra stores nothing but
+//! explores the whole network per source. A contraction hierarchy sits
+//! between the two: an `O(|V| + shortcuts)` structure built once per
+//! network, answering random point queries in microseconds by searching
+//! only "upward" in a node hierarchy.
 //!
 //! # Preprocessing: ordering and witness search
 //!

@@ -5,7 +5,7 @@
 //! (`sp_compress` over the training paths), and hub-label construction
 //! ([`HubLabels`](crate::hub_labels::HubLabels), one label search per
 //! node) — has the same shape: per-item costs vary wildly (path length,
-//! SP-cache hits, label sizes), so fixed chunking idles threads behind
+//! label sizes), so fixed chunking idles threads behind
 //! the slowest slice, while stealing one index at a time from a shared
 //! atomic cursor keeps every worker busy until the input drains. This
 //! module is that one shared loop; output order is preserved (workers
@@ -39,41 +39,14 @@ where
     F: Fn(usize, &T) -> R + Sync,
 {
     let threads = threads.max(1);
-    if threads == 1 || items.len() < 2 * threads {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let parts: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(i) else {
-                            break;
-                        };
-                        local.push((i, f(i, item)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("work-stealing worker panicked"))
-            .collect()
-    });
-    let mut out: Vec<Option<R>> = Vec::with_capacity(items.len());
-    out.resize_with(items.len(), || None);
-    for (i, r) in parts.into_iter().flatten() {
-        out[i] = Some(r);
-    }
-    out.into_iter()
-        .map(|r| r.expect("all indices drained"))
-        .collect()
+    let workers = if items.len() < 2 * threads {
+        1
+    } else {
+        threads
+    };
+    steal_loop(items, &mut vec![(); workers], |_: &mut (), i, t: &T| {
+        f(i, t)
+    })
 }
 
 /// [`work_steal_map`] without the small-input sequential shortcut: the
@@ -93,42 +66,10 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let threads = threads.max(1).min(items.len().max(1));
-    if threads == 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let parts: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(i) else {
-                            break;
-                        };
-                        local.push((i, f(i, item)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("work-stealing worker panicked"))
-            .collect()
-    });
-    let mut out: Vec<Option<R>> = Vec::with_capacity(items.len());
-    out.resize_with(items.len(), || None);
-    for (i, r) in parts.into_iter().flatten() {
-        out[i] = Some(r);
-    }
-    out.into_iter()
-        .map(|r| r.expect("all indices drained"))
-        .collect()
+    let workers = threads.max(1).min(items.len().max(1));
+    steal_loop(items, &mut vec![(); workers], |_: &mut (), i, t: &T| {
+        f(i, t)
+    })
 }
 
 /// [`work_steal_map`] with a caller-owned pool of per-worker scratch
@@ -162,8 +103,28 @@ where
         !scratch.is_empty(),
         "work_steal_map_indexed needs at least one scratch slot"
     );
+    let workers = if items.len() < 2 * scratch.len() {
+        1
+    } else {
+        scratch.len()
+    };
+    steal_loop(items, &mut scratch[..workers], f)
+}
+
+/// The one spawn/steal/reassemble body behind the three public maps: one
+/// worker per `scratch` slot (worker `w` owns `scratch[w]`), each stealing
+/// the next index from a shared atomic cursor; results are written back
+/// by index, so the output is in input order. A single slot runs the map
+/// sequentially on the calling thread. Callers choose the slot count.
+fn steal_loop<T, R, S, F>(items: &[T], scratch: &mut [S], f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    S: Send,
+    F: Fn(&mut S, usize, &T) -> R + Sync,
+{
     let threads = scratch.len();
-    if threads == 1 || items.len() < 2 * threads {
+    if threads == 1 {
         let s = &mut scratch[0];
         return items.iter().enumerate().map(|(i, t)| f(s, i, t)).collect();
     }

@@ -11,11 +11,6 @@
 //! * [`SpTable`](crate::SpTable) — the dense table. `O(|V|²)` memory,
 //!   `O(1)` lookups. Right for small networks, and the correctness oracle
 //!   for everything else.
-//! * [`LazySpCache`](crate::LazySpCache) — one Dijkstra tree per *source
-//!   on demand*, kept in a sharded, capacity-bounded LRU cache.
-//!   `O(cached trees · |V|)` memory, amortized `O(1)` lookups on hot
-//!   sources. The right trade once `|V|²` stops fitting in RAM and the
-//!   workload has source locality.
 //! * [`ContractionHierarchy`](crate::ContractionHierarchy) — a node
 //!   hierarchy with shortcut arcs, preprocessed once in
 //!   `O(|V| + shortcuts)` memory; random point queries resolve via
@@ -25,7 +20,10 @@
 //!   by a flat merge in microseconds, trading ~10× the CH memory for
 //!   ~100× its lookup speed. The backend for lookup-dominated serving.
 //!
-//! All backends derive every query from the same **canonical**
+//! CH and HL need strictly positive edge weights; a network with a
+//! zero-weight edge is served by the dense table only.
+//!
+//! All three backends derive every query from the same **canonical**
 //! shortest-path trees (see [`crate::dijkstra`](mod@crate::dijkstra) for the tie-break rule),
 //! so their answers are **bit-identical** (property-tested in
 //! `tests/properties.rs`) — the prefix-consistency that Theorem 1's
@@ -45,8 +43,8 @@ use std::sync::Arc;
 /// algorithms consume (`SPend`, gap distances, path expansion, MBRs) is
 /// derived in default methods, so the derived semantics — including the
 /// SP-containment property Theorem 1 relies on — are shared by
-/// construction. Backends may still override the derived methods to batch
-/// tree lookups (as [`LazySpCache`](crate::LazySpCache) does).
+/// construction. Backends may still override the derived methods (the CH
+/// and HL backends answer `sp_interior` with one probe walk).
 pub trait SpProvider: Send + Sync {
     /// The underlying network.
     fn network(&self) -> &Arc<RoadNetwork>;
@@ -173,8 +171,8 @@ pub trait SpProvider: Send + Sync {
 /// Forwarding impl so an `&Arc<dyn SpProvider>` (or `&Arc<SpTable>`)
 /// coerces straight into `&dyn SpProvider` at call sites. Every method —
 /// including the derived ones — forwards to the inner provider, so
-/// backend overrides (e.g. the lazy cache's memoized `sp_mbr`) are never
-/// bypassed by the trait defaults.
+/// backend overrides (e.g. the CH and HL one-probe `sp_interior` walks)
+/// are never bypassed by the trait defaults.
 impl<P: SpProvider + ?Sized> SpProvider for Arc<P> {
     fn network(&self) -> &Arc<RoadNetwork> {
         (**self).network()
@@ -220,13 +218,6 @@ pub enum SpBackend {
     /// Eager dense all-pair table ([`SpTable`](crate::SpTable)):
     /// `O(|V|²)` memory, built up front.
     Dense,
-    /// Lazy per-source cache ([`LazySpCache`](crate::LazySpCache)) holding
-    /// at most `capacity_trees` Dijkstra trees.
-    Lazy {
-        /// Maximum number of cached shortest-path trees (each is
-        /// `O(|V|)` bytes).
-        capacity_trees: usize,
-    },
     /// Contraction hierarchy
     /// ([`ContractionHierarchy`](crate::ContractionHierarchy)):
     /// `O(|V| + shortcuts)` memory, sub-millisecond point queries after a
@@ -241,13 +232,6 @@ pub enum SpBackend {
 }
 
 impl SpBackend {
-    /// A lazy backend with the default cache capacity.
-    pub fn lazy() -> Self {
-        SpBackend::Lazy {
-            capacity_trees: crate::lazy_sp::LazySpConfig::default().capacity_trees,
-        }
-    }
-
     /// Builds the selected provider over `net`, preprocessing with one
     /// worker per available core where the backend parallelizes (the
     /// CH contraction rounds and the HL label pass). Results are
@@ -263,13 +247,6 @@ impl SpBackend {
     pub fn build_with_threads(self, net: Arc<RoadNetwork>, threads: usize) -> Arc<dyn SpProvider> {
         match self {
             SpBackend::Dense => Arc::new(crate::sp_table::SpTable::build(net)),
-            SpBackend::Lazy { capacity_trees } => Arc::new(crate::lazy_sp::LazySpCache::new(
-                net,
-                crate::lazy_sp::LazySpConfig {
-                    capacity_trees,
-                    ..crate::lazy_sp::LazySpConfig::default()
-                },
-            )),
             SpBackend::Ch => Arc::new(crate::ch::ContractionHierarchy::build_with(
                 net,
                 crate::ch::ChConfig {

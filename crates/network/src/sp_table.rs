@@ -26,12 +26,11 @@
 //! nodes (a 16×16 evaluation grid costs ~0.8 MB; 10k nodes ≈ 1.2 GB) and
 //! makes this table the **correctness oracle** the property tests compare
 //! against. Beyond that the quadratic RAM wall dominates — a 100k-node
-//! metro network would need ~120 GB — and the lazy, capacity-bounded
-//! [`LazySpCache`](crate::LazySpCache) is the only viable backend; see
-//! its module docs for the inverse trade-off. Derived queries (`SPend`,
-//! gaps, MBRs) live on the [`SpProvider`] trait so both backends share
-//! one implementation; sp-path MBRs are computed on demand here and
-//! memoized by the lazy backend.
+//! metro network would need ~120 GB — and the
+//! [`ContractionHierarchy`](crate::ContractionHierarchy) or
+//! [`HubLabels`](crate::HubLabels) take over. Derived queries (`SPend`,
+//! gaps, MBRs) live on the [`SpProvider`] trait so every backend shares
+//! one implementation.
 
 use crate::dijkstra::dijkstra;
 use crate::graph::RoadNetwork;

@@ -89,7 +89,7 @@ use press_core::{
 };
 use press_core::{CompressedTrajectory, Press, PressError};
 use press_matcher::{GpsSample, MapMatcher, MatcherError};
-use press_network::{LazySpCache, Point};
+use press_network::Point;
 use press_store::io::{self as store_io, IoBackend};
 use press_store::{ByteReader, ByteWriter};
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -567,21 +567,6 @@ struct SegmentOutcome {
     splits: u64,
     dropped: u64,
     shed: u64,
-}
-
-/// Background re-persistence of a [`LazySpCache`] hot-tree set, ticked
-/// by the **stream clock** (never wall clock — replay must be able to
-/// reproduce the same saves): whenever `max_time` has advanced at least
-/// `interval` past the last save, the cache's resident trees are written
-/// to `path`, so a process restarted next to the artifact warms its SP
-/// cache instead of paying cold Dijkstras.
-struct HotTreePersist {
-    cache: Arc<LazySpCache>,
-    path: PathBuf,
-    interval: f64,
-    /// Stream time of the last save; `NEG_INFINITY` arms the timer on
-    /// the first accepted fix.
-    last_save: f64,
 }
 
 /// Maps a timestamp to a key that sorts like the timestamp (total order
@@ -1119,7 +1104,6 @@ pub struct IngestEngine {
     /// `config.quarantine_log_cap`), oldest first.
     quarantine: VecDeque<QuarantineRecord>,
     recovery: RecoveryReport,
-    hot_persist: Option<HotTreePersist>,
 }
 
 impl IngestEngine {
@@ -1257,7 +1241,6 @@ impl IngestEngine {
             eviction_log,
             quarantine: VecDeque::new(),
             recovery: report,
-            hot_persist: None,
         })
     }
 
@@ -1424,7 +1407,6 @@ impl IngestEngine {
                     &mut self.eviction_log,
                 );
                 self.max_time = clock;
-                self.tick_hot_persist();
                 // A failed group sync is absorbed here (counted in the
                 // shard's `sync_failures`): the frame IS journaled, so
                 // the honest answer is Journaled, not an error.
@@ -1539,59 +1521,6 @@ impl IngestEngine {
                 Err(other) => return Err(other.into()),
             }
         }
-    }
-
-    /// Stream-time timer tick for the background hot-tree persistence
-    /// (see [`IngestEngine::enable_hot_tree_persist`]). Best-effort:
-    /// a failed write only skips this tick — persistence is a warm-start
-    /// optimization, never part of the durability contract — so the
-    /// shared accept path stays infallible. Saves are counted in
-    /// [`press_network::CacheStats::hot_saves`].
-    fn tick_hot_persist(&mut self) {
-        let Some(hp) = &mut self.hot_persist else {
-            return;
-        };
-        if !self.max_time.is_finite() {
-            return;
-        }
-        if hp.last_save == f64::NEG_INFINITY {
-            // Arm on the first observed stream time; the first save lands
-            // one full interval later, once there are trees worth saving.
-            hp.last_save = self.max_time;
-            return;
-        }
-        if self.max_time - hp.last_save >= hp.interval {
-            hp.last_save = self.max_time;
-            let _ = hp.cache.save_hot_trees(&hp.path);
-        }
-    }
-
-    /// Enables background re-persistence of `cache`'s hot-tree set to
-    /// `path` every `interval_secs` seconds of **stream time** (the
-    /// observed `max_time` clock idle sweeps use; wall clock would make
-    /// replay nondeterministic). Each save rewrites the artifact with the
-    /// currently-resident trees and increments
-    /// [`press_network::CacheStats::hot_saves`]. Pass the cache the
-    /// engine's SP provider wraps, so the persisted set tracks the trees
-    /// serving actually heats up.
-    pub fn enable_hot_tree_persist(
-        &mut self,
-        cache: Arc<LazySpCache>,
-        path: PathBuf,
-        interval_secs: f64,
-    ) -> Result<()> {
-        if !interval_secs.is_finite() || interval_secs <= 0.0 {
-            return Err(ServeError::Config(
-                "hot-tree persist interval must be positive".into(),
-            ));
-        }
-        self.hot_persist = Some(HotTreePersist {
-            cache,
-            path,
-            interval: interval_secs,
-            last_save: f64::NEG_INFINITY,
-        });
-        Ok(())
     }
 
     /// Explicitly ends `vehicle`'s trajectory (journaled in its owning

@@ -597,53 +597,6 @@ fn dirty_input_is_quarantined_with_typed_reasons() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn hot_tree_persistence_ticks_on_stream_time() {
-    let f = fleet();
-    let dir = test_dir("hot-trees");
-    let mut engine =
-        IngestEngine::open(&dir, Arc::clone(&f.matcher), f.press(), config()).expect("open");
-    let cache = Arc::new(press_network::LazySpCache::with_default_config(
-        f.net.clone(),
-    ));
-    let artifact = dir.join("sp_hot.press");
-    // A non-positive interval is a config error, not a silent no-op.
-    assert!(engine
-        .enable_hot_tree_persist(Arc::clone(&cache), artifact.clone(), 0.0)
-        .is_err());
-    engine
-        .enable_hot_tree_persist(Arc::clone(&cache), artifact.clone(), 40.0)
-        .expect("enable");
-    // Heat some trees so the persisted set is non-trivial.
-    for v in f.net.node_ids().take(4) {
-        let _ = cache.tree(v);
-    }
-    let span_start = f.events.first().expect("events").1.t;
-    let span_end = f.events.last().expect("events").1.t;
-    assert!(
-        span_end - span_start > 80.0,
-        "fixture stream too short for two ticks"
-    );
-    for &(v, s) in &f.events {
-        let _ = engine.push(v, s).expect("push");
-    }
-    let saves = cache.stats().hot_saves;
-    assert!(saves >= 1, "stream time advanced past the interval");
-    // The timer is the stream clock, not per-fix: saves are bounded by
-    // the observed span over the interval (+1 for the arming tick).
-    assert!(
-        (saves as f64) <= (span_end - span_start) / 40.0 + 1.0,
-        "{saves} saves over a {:.0}s span",
-        span_end - span_start
-    );
-    // The artifact is a loadable warm-start image of the resident trees.
-    let loaded =
-        press_network::LazySpCache::load_from(f.net.clone(), &artifact).expect("load hot trees");
-    assert_eq!(loaded.capacity_trees(), cache.capacity_trees());
-    assert!(loaded.cached_trees() > 0, "saved set must not be empty");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// Finishes an engine and returns the merged (shard-count-invariant)
 /// corpus bytes.
 fn finish_merged(engine: &mut IngestEngine) -> Vec<u8> {

@@ -176,9 +176,8 @@ impl Workload {
         while hubs.len() < config.hub_pairs {
             let a = NodeId(rng.gen_range(0..n_nodes));
             let b = NodeId(rng.gen_range(0..n_nodes));
-            // Plain BFS reachability: probing `sp.node_dist` here would run
-            // one full Dijkstra per random source on a lazy backend and
-            // pollute its LRU with never-reused trees.
+            // Plain BFS reachability: it needs no SP lookup, so the
+            // workload does not depend on the SP backend's cost model.
             if a != b && bfs_reachable(&net, a, b) {
                 hubs.push((a, b));
             }

@@ -19,9 +19,9 @@ fn main() {
         seed: 31,
         ..GridConfig::default()
     }));
-    // Any SpProvider backend works here; the lazy cache keeps the demo's
-    // memory proportional to the sources actually touched.
-    let sp = SpBackend::lazy().build(net.clone());
+    // Any SpProvider backend works here; the contraction hierarchy keeps
+    // the demo's memory near-linear in the network size.
+    let sp = SpBackend::Ch.build(net.clone());
     let workload = Workload::generate(
         net.clone(),
         sp.clone(),

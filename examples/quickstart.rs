@@ -23,12 +23,11 @@ fn main() {
     );
 
     // --- 2. A shortest-path provider (the paper's SPend structure). -----
-    // Dense = eager O(|V|^2) table; `SpBackend::lazy()` = bounded
-    // per-source cache for networks where |V|^2 cannot fit in RAM;
-    // `SpBackend::Ch` = contraction hierarchy for query-heavy workloads
-    // at city scale; `SpBackend::Hl` = 2-hop hub labels over the CH
-    // order, trading ~10x the CH memory for flat-merge microsecond point
-    // lookups. All four answer bit-identically.
+    // Dense = eager O(|V|^2) table; `SpBackend::Ch` = contraction
+    // hierarchy for networks where |V|^2 cannot fit in RAM;
+    // `SpBackend::Hl` = 2-hop hub labels over the CH order, trading ~10x
+    // the CH memory for flat-merge microsecond point lookups. All three
+    // answer bit-identically.
     let sp = SpBackend::Dense.build(net.clone());
     println!(
         "sp backend (dense): {:.1} MiB",
@@ -60,23 +59,11 @@ fn main() {
     };
     let training_paths: Vec<_> = train.iter().map(|r| r.path.clone()).collect();
     let press = Press::train(sp, &training_paths, config).expect("training");
-    // The same training under the lazy backend yields bit-identical
-    // output while touching only the sources the corpus needs:
-    let lazy = SpBackend::lazy().build(net.clone());
-    let press_lazy = Press::train(lazy.clone(), &training_paths, config).expect("training (lazy)");
+    // The same training under the contraction hierarchy: sub-quadratic
+    // preprocessing — batched independent-set contraction over every
+    // core, bit-identical for any core count — microsecond point
+    // lookups, identical compressed output.
     let sample = eval[0].truth_trajectory(30.0);
-    assert_eq!(
-        press.compress(&sample).expect("dense compress"),
-        press_lazy.compress(&sample).expect("lazy compress"),
-        "backends must compress identically"
-    );
-    println!(
-        "lazy sp backend after training: {:.2} MiB resident, same compressed bits",
-        lazy.approx_bytes() as f64 / (1 << 20) as f64
-    );
-    // And the contraction hierarchy: sub-quadratic preprocessing —
-    // batched independent-set contraction over every core, bit-identical
-    // for any core count — microsecond point lookups, still identical.
     let ch = SpBackend::Ch.build(net.clone());
     let press_ch = Press::train(ch.clone(), &training_paths, config).expect("training (ch)");
     assert_eq!(

@@ -15,7 +15,7 @@
 //!
 //! // 1. A road network and a shortest-path provider (static, per city).
 //! //    `SpBackend::Dense` precomputes the O(|V|^2) table; at city scale
-//! //    use `SpBackend::lazy()` for the bounded per-source cache instead.
+//! //    use `SpBackend::Ch` or `SpBackend::Hl` instead.
 //! let net = Arc::new(grid_network(&GridConfig::default()));
 //! let sp = SpBackend::Dense.build(net.clone());
 //!
@@ -70,8 +70,8 @@ pub mod prelude {
     };
     pub use press_matcher::{MapMatcher, MatcherConfig};
     pub use press_network::{
-        grid_network, ChConfig, ContractionHierarchy, EdgeId, GridConfig, HubLabels, LazySpCache,
-        LazySpConfig, MappedContractionHierarchy, MappedHubLabels, Mbr, NodeId, Point, RoadNetwork,
+        grid_network, ChConfig, ContractionHierarchy, EdgeId, GridConfig, HubLabels,
+        MappedContractionHierarchy, MappedHubLabels, Mbr, NodeId, Point, RoadNetwork,
         RoadNetworkBuilder, SpBackend, SpProvider, SpTable,
     };
     pub use press_serve::{

@@ -305,45 +305,49 @@ fn theorem2_tsnd_dominates_tsed() {
 }
 
 #[test]
-fn lazy_backend_reproduces_dense_pipeline_bit_for_bit() {
-    // The tiered SP engine's contract: swapping the dense table for the
-    // lazy cache changes memory behaviour, never answers. Run the whole
-    // pipeline (workload -> train -> compress -> decompress -> queries)
-    // under both backends and compare outputs exactly.
+fn ch_and_hl_backends_reproduce_dense_pipeline_bit_for_bit() {
+    // The SP backends' contract: swapping the dense table for the
+    // contraction hierarchy or the hub labels changes memory and lookup
+    // cost, never answers. Run the whole pipeline (workload -> train ->
+    // compress -> decompress -> queries) under each backend and compare
+    // outputs exactly.
     let bounds = BtcBounds::new(60.0, 20.0);
     let dense = world(17, bounds);
-    let lazy = world_with_backend(17, bounds, SpBackend::Lazy { capacity_trees: 64 });
-    assert_eq!(dense.workload.records.len(), lazy.workload.records.len());
     let d_engine = QueryEngine::new(dense.press.model());
-    let l_engine = QueryEngine::new(lazy.press.model());
     let (_, eval) = dense.workload.split(0.4);
-    for (record, l_record) in eval.iter().zip(lazy.workload.split(0.4).1).take(15) {
-        assert_eq!(record.path, l_record.path, "workloads must be identical");
-        let traj = record.truth_trajectory(30.0);
-        let cd = dense.press.compress(&traj).unwrap();
-        let cl = lazy.press.compress(&traj).unwrap();
-        assert_eq!(cd, cl, "compressed forms must match bit-for-bit");
-        assert_eq!(
-            dense.press.decompress(&cd).unwrap().path,
-            lazy.press.decompress(&cl).unwrap().path
-        );
-        let (t0, t1) = traj.temporal.time_range().unwrap();
-        for k in 0..=4 {
-            let t = t0 + (t1 - t0) * k as f64 / 4.0;
-            let a = d_engine.whereat(&cd, t).unwrap();
-            let b = l_engine.whereat(&cl, t).unwrap();
-            assert!(a.dist(&b) < 1e-12, "whereat differs between backends");
-        }
-        let total = traj.path.weight(&dense.net);
-        let probe = traj.path.point_at(&dense.net, total * 0.5).unwrap();
-        match (
-            d_engine.whenat(&cd, probe, 0.5),
-            l_engine.whenat(&cl, probe, 0.5),
-        ) {
-            (Ok(a), Ok(b)) => assert_eq!(a.to_bits(), b.to_bits()),
-            (a, b) => assert_eq!(a.is_err(), b.is_err()),
+    for backend in [SpBackend::Ch, SpBackend::Hl] {
+        let other = world_with_backend(17, bounds, backend);
+        assert_eq!(dense.workload.records.len(), other.workload.records.len());
+        let o_engine = QueryEngine::new(other.press.model());
+        for (record, o_record) in eval.iter().zip(other.workload.split(0.4).1).take(15) {
+            assert_eq!(record.path, o_record.path, "workloads must be identical");
+            let traj = record.truth_trajectory(30.0);
+            let cd = dense.press.compress(&traj).unwrap();
+            let co = other.press.compress(&traj).unwrap();
+            assert_eq!(
+                cd, co,
+                "{backend:?} compressed forms must match bit-for-bit"
+            );
+            assert_eq!(
+                dense.press.decompress(&cd).unwrap().path,
+                other.press.decompress(&co).unwrap().path
+            );
+            let (t0, t1) = traj.temporal.time_range().unwrap();
+            for k in 0..=4 {
+                let t = t0 + (t1 - t0) * k as f64 / 4.0;
+                let a = d_engine.whereat(&cd, t).unwrap();
+                let b = o_engine.whereat(&co, t).unwrap();
+                assert!(a.dist(&b) < 1e-12, "whereat differs under {backend:?}");
+            }
+            let total = traj.path.weight(&dense.net);
+            let probe = traj.path.point_at(&dense.net, total * 0.5).unwrap();
+            match (
+                d_engine.whenat(&cd, probe, 0.5),
+                o_engine.whenat(&co, probe, 0.5),
+            ) {
+                (Ok(a), Ok(b)) => assert_eq!(a.to_bits(), b.to_bits()),
+                (a, b) => assert_eq!(a.is_err(), b.is_err()),
+            }
         }
     }
-    // The lazy cache stayed within its configured bound the whole time.
-    assert!(lazy.sp.approx_bytes() <= 64 * dense.net.num_nodes() * 16 + (1 << 20));
 }

@@ -8,8 +8,7 @@ use press::core::query::QueryEngine;
 use press::core::spatial::HscModel;
 use press::core::TrajectoryStore;
 use press::network::{
-    grid_network, ContractionHierarchy, GridConfig, HubLabels, LazySpCache, RoadNetwork,
-    SpProvider, SpTable,
+    grid_network, ContractionHierarchy, GridConfig, HubLabels, RoadNetwork, SpProvider, SpTable,
 };
 use press::prelude::*;
 use proptest::prelude::*;
@@ -62,7 +61,7 @@ fn walk_from_choices(net: &RoadNetwork, start: u32, choices: &[u8]) -> Vec<EdgeI
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// All four SP backends: the loaded structure answers node_dist /
+    /// All three SP backends: the loaded structure answers node_dist /
     /// pred_edge / sp_mbr bit-identically to the built one on random
     /// networks.
     #[test]
@@ -76,14 +75,6 @@ proptest! {
         let dense = SpTable::build(net.clone());
         let dense_loaded =
             SpTable::from_store_bytes(net.clone(), dense.to_store_bytes()).expect("dense load");
-        let lazy = LazySpCache::with_default_config(net.clone());
-        for u in net.node_ids() {
-            // tree(), not node_dist(): distance probes deliberately stay
-            // treeless now, and this test wants a warm resident set.
-            let _ = lazy.tree(u);
-        }
-        let lazy_loaded =
-            LazySpCache::from_store_bytes(net.clone(), lazy.to_store_bytes()).expect("lazy load");
         let ch = ContractionHierarchy::build(net.clone());
         let ch_loaded =
             ContractionHierarchy::from_store_bytes(net.clone(), ch.to_store_bytes())
@@ -93,7 +84,6 @@ proptest! {
             HubLabels::from_store_bytes(net.clone(), hl.to_store_bytes()).expect("hl load");
         let pairs: Vec<ProviderPair> = vec![
             (Arc::new(dense), Arc::new(dense_loaded), "dense"),
-            (Arc::new(lazy), Arc::new(lazy_loaded), "lazy"),
             (Arc::new(ch), Arc::new(ch_loaded), "ch"),
             (Arc::new(hl), Arc::new(hl_loaded), "hl"),
         ];
@@ -319,6 +309,29 @@ fn corruption_modes_are_typed() {
     assert!(matches!(
         SpTable::from_store_bytes(net.clone(), bad),
         Err(StoreError::ChecksumMismatch { .. })
+    ));
+}
+
+/// Kind id 3 is retired and reserved: a file of that kind (an old
+/// per-source tree cache) is refused with a typed `WrongKind` by every
+/// SP loader, never misread.
+#[test]
+fn retired_kind_3_is_refused_by_every_sp_loader() {
+    use press_store::StoreError;
+    let net = net_from(3, 3, 0.1, 1);
+    let mut w = press_store::StoreWriter::new(3);
+    w.section("trees", vec![0u8; 16]);
+    let old = w.to_bytes();
+    let is_wrong_kind =
+        |e: Option<StoreError>| matches!(e, Some(StoreError::WrongKind { found: 3, .. }));
+    assert!(is_wrong_kind(
+        SpTable::from_store_bytes(net.clone(), old.clone()).err()
+    ));
+    assert!(is_wrong_kind(
+        ContractionHierarchy::from_store_bytes(net.clone(), old.clone()).err()
+    ));
+    assert!(is_wrong_kind(
+        HubLabels::from_store_bytes(net.clone(), old).err()
     ));
 }
 
