@@ -72,7 +72,8 @@ use press_core::{BtcBounds, Press, PressConfig};
 use press_matcher::{GpsSample, MapMatcher, MatcherConfig};
 use press_network::{grid_network, GridConfig, RoadNetwork, SpBackend};
 use press_serve::{
-    truncate_wal, wal_len, DurabilityPolicy, Event, IngestConfig, IngestEngine, SessionPolicy,
+    shard_wal_len, truncate_shard_wal, DurabilityPolicy, Event, IngestConfig, IngestEngine,
+    SessionPolicy,
 };
 use press_workload::{Workload, WorkloadConfig};
 use std::fmt::Write as _;
@@ -425,9 +426,10 @@ fn main() {
         }
     }
     drop(engine); // the crash: nothing finalized, flushed, or checkpointed
-    let full_len = wal_len(&dir).unwrap_or_else(|e| fatal(&format!("wal_len failed: {e}")));
+    let full_len =
+        shard_wal_len(&dir, 0).unwrap_or_else(|e| fatal(&format!("shard_wal_len failed: {e}")));
     let cut = full_len * 2 / 3;
-    truncate_wal(&dir, cut).unwrap_or_else(|e| fatal(&format!("truncate failed: {e}")));
+    truncate_shard_wal(&dir, 0, cut).unwrap_or_else(|e| fatal(&format!("truncate failed: {e}")));
     let survivors = acked.iter().take_while(|&&(_, off)| off <= cut).count();
     let t0 = Instant::now();
     let mut recovered = IngestEngine::open(
@@ -598,7 +600,11 @@ fn run_gate(fresh: &str, baseline_path: &str, tolerance: f64) -> Result<Vec<Stri
         let path: Vec<&str> = path.iter().copied().filter(|s| !s.is_empty()).collect();
         let metric = path.join(".");
         let Some(base) = baseline.num_at(&path) else {
-            continue; // pre-metric baseline
+            failures.push(format!(
+                "metric '{metric}': missing from the baseline — a gated metric cannot be \
+                 un-gated by deleting its baseline key"
+            ));
+            continue;
         };
         let Some(fresh_v) = fresh.num_at(&path) else {
             failures.push(format!(
@@ -974,7 +980,8 @@ fn finish(engine: &mut IngestEngine) -> Vec<u8> {
     engine
         .checkpoint()
         .unwrap_or_else(|e| fatal(&format!("checkpoint failed: {e}")));
-    std::fs::read(engine.corpus_path()).unwrap_or_else(|e| fatal(&format!("read corpus: {e}")))
+    std::fs::read(engine.shard_corpus_path(0))
+        .unwrap_or_else(|e| fatal(&format!("read corpus: {e}")))
 }
 
 /// Fresh per-run scratch directory under the system temp dir.

@@ -364,7 +364,11 @@ fn run_gate(fresh: &str, baseline_path: &str, tolerance: f64) -> Result<Vec<Stri
     ] {
         let metric = path.join(".");
         let Some(base) = baseline.num_at(&path) else {
-            continue; // pre-metric baseline
+            failures.push(format!(
+                "metric '{metric}': missing from the baseline — a gated metric cannot be \
+                 un-gated by deleting its baseline key"
+            ));
+            continue;
         };
         let Some(fresh_v) = fresh.num_at(&path) else {
             failures.push(format!(

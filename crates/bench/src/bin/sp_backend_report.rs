@@ -36,7 +36,6 @@
 //!                  passes that record contraction and label-build
 //!                  parallel scaling — production artifact builds then
 //!                  pay only the all-cores passes
-//!                  (--skip-label-scaling is accepted as an alias)
 //! --save-dir DIR   persist the large-scale network, hierarchy and (with
 //!                  --hl) labeling + build timings
 //! --load-dir DIR   warm-start the large-scale phase from a --save-dir
@@ -246,9 +245,7 @@ fn main() {
                         .unwrap_or_else(|| usage("--min-hl-speedup needs a number")),
                 )
             }
-            // --skip-label-scaling predates the contraction scaling pass
-            // and is kept as an alias.
-            "--skip-scaling" | "--skip-label-scaling" => skip_scaling = true,
+            "--skip-scaling" => skip_scaling = true,
             "--save-dir" => {
                 save_dir = Some(
                     it.next()

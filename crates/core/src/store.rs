@@ -143,6 +143,21 @@ impl HscModel {
         if num_nodes == 0 {
             return Err(StoreError::Corrupt("trie has no root".into()));
         }
+        // `meta` may claim up to u32::MAX trie nodes; every per-node
+        // section must actually hold them before anything is sized by
+        // that count.
+        for (name, count, width) in [
+            ("trie", num_nodes - 1, 18),
+            ("node_dist", num_nodes, 8),
+            ("node_mbr", num_nodes, 32),
+        ] {
+            let len = file.section(name)?.len();
+            if Some(len) != count.checked_mul(width) {
+                return Err(StoreError::Corrupt(format!(
+                    "{name}: {len} B cannot hold {count} records of {width} B"
+                )));
+            }
+        }
         let mut r = file.reader("trie")?;
         let mut records = Vec::with_capacity(num_nodes - 1);
         for _ in 1..num_nodes {
@@ -1082,6 +1097,64 @@ mod tests {
                 r.err()
             );
         }
+    }
+
+    #[test]
+    fn open_refuses_index_leaf_counts_the_section_cannot_hold() {
+        // A 32-byte, CRC-consistent `index` section claiming u32::MAX
+        // leaves must fail typed before anything is sized by that count.
+        let (press, _, compressed) = fixture();
+        let engine = QueryEngine::new(press.model());
+        let good = TrajectoryStore::to_store_bytes(&engine, &compressed, 4).unwrap();
+        let file = StoreFile::from_bytes(good).unwrap();
+        let mut index = ByteWriter::new();
+        index.put_u64(DEFAULT_BRANCHING as u64);
+        index.put_u64(u32::MAX as u64);
+        index.put_u64(1);
+        index.put_u64(u32::MAX as u64);
+        let index = index.into_bytes();
+        let mut w = StoreWriter::new(file.kind());
+        for name in file.section_names() {
+            let payload = match name {
+                "index" => index.clone(),
+                _ => file.section(name).unwrap().to_vec(),
+            };
+            w.section(name, payload);
+        }
+        let r = TrajectoryStore::from_store_bytes(w.to_bytes());
+        assert!(
+            matches!(r, Err(PressError::Store(StoreError::Corrupt(_)))),
+            "expected a typed Corrupt error, got {:?}",
+            r.err()
+        );
+    }
+
+    #[test]
+    fn model_load_refuses_node_counts_the_sections_cannot_hold() {
+        // A CRC-consistent `meta` claiming u32::MAX trie nodes must fail
+        // typed before anything is sized by that count.
+        let (press, _, _) = fixture();
+        let model = press.model();
+        let file = StoreFile::from_bytes(model.to_store_bytes()).unwrap();
+        let mut meta = ByteWriter::new();
+        meta.put_u64(model.trie().theta() as u64);
+        meta.put_u64(model.trie().alphabet_size() as u64);
+        meta.put_u64(u32::MAX as u64);
+        let meta = meta.into_bytes();
+        let mut w = StoreWriter::new(file.kind());
+        for name in file.section_names() {
+            let payload = match name {
+                "meta" => meta.clone(),
+                _ => file.section(name).unwrap().to_vec(),
+            };
+            w.section(name, payload);
+        }
+        let r = HscModel::from_store_bytes(model.sp().clone(), w.to_bytes());
+        assert!(
+            matches!(r, Err(StoreError::Corrupt(_))),
+            "expected a typed Corrupt error, got {:?}",
+            r.err()
+        );
     }
 
     fn temp_corpus(name: &str, bytes: &[u8]) -> std::path::PathBuf {

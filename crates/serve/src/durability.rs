@@ -12,7 +12,7 @@
 //! The ack contract stays honest under the batching (see
 //! [`crate::Ack`]): a fix whose covering sync has not happened yet is
 //! acked [`crate::Ack::Journaled`], and becomes durable — observable
-//! via [`crate::IngestEngine::durable_offset`] — only when a later
+//! via [`crate::IngestEngine::shard_durable_offset`] — only when a later
 //! sync covers its frame. Only the sync *timing* is policy; which
 //! bytes reach the journal, and therefore every recovered corpus, is
 //! byte-identical across policies.

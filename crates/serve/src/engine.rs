@@ -53,12 +53,13 @@
 //! checkpoint leftovers and are garbage-collected. The rebuilt engine
 //! is in the same state a clean run would reach after pushing exactly
 //! the acked prefix of each shard — the recovery proptests assert the
-//! resulting corpora are byte-identical. Directories written by the
-//! pre-shard format (a v1 manifest, un-suffixed artifact names) open
-//! with `shards == 1` and are migrated to the sharded naming by the
-//! next checkpoint; opening them with any other shard count — or a
-//! sharded directory with a different count — is a typed
-//! [`ServeError::Config`] (resharding is not supported).
+//! resulting corpora are byte-identical. Opening a directory with a
+//! shard count other than the committed one is a typed
+//! [`ServeError::Config`] (resharding is not supported). The engine
+//! opens only what it writes: a pre-sharding directory (a version-1
+//! manifest) and a shard corpus without its `ingest` section are
+//! refused with a typed [`ServeError::Manifest`] before any byte of the
+//! directory changes.
 //!
 //! # Incremental checkpoints
 //!
@@ -301,8 +302,8 @@ impl Default for IngestConfig {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Ack {
     /// Fix journaled, buffered, **and durable**: a sync covering its
-    /// frame has succeeded (`offset <= durable_offset()`), so the fix
-    /// survives power loss, not just process death.
+    /// frame has succeeded (`offset <= shard_durable_offset(shard)`),
+    /// so the fix survives power loss, not just process death.
     Accepted { offset: u64 },
     /// Fix journaled and buffered, not yet synced. `offset` is the
     /// owning shard's journal length with this fix's frame included;
@@ -464,11 +465,13 @@ pub struct RecoveryReport {
 
 /// Canonical merge key of one finalized piece: the published corpus is
 /// built in `(rank, vehicle, seg, piece)` order, which is independent
-/// of shard count, flush batching, and thread count. `rank 0` pins
-/// trajectories inherited from a pre-key corpus in their original
-/// position (their `vehicle` field is the original index); everything
-/// cut by this engine is `rank 1` with its real vehicle id, per-vehicle
-/// segment sequence number, and salvage piece index.
+/// of shard count, flush batching, and thread count. Everything cut by
+/// this engine is `rank 1` with its real vehicle id, per-vehicle
+/// segment sequence number, and salvage piece index. `rank 0` is read,
+/// never written: a directory an older build migrated from the
+/// pre-sharding layout keeps rank-0 keys that pin the trajectories it
+/// inherited in their original position (their `vehicle` field is the
+/// original index), ahead of everything this engine cuts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct TrajKey {
     rank: u8,
@@ -540,7 +543,11 @@ fn decode_ingest_section(
             piece: r.get_u32().map_err(bad)?,
         });
     }
-    let m = r.get_u64().map_err(bad)? as usize;
+    // Each counter is 16 bytes; bound the count by what remains before
+    // reserving for it.
+    let m = r
+        .get_len(r.remaining() / 16, "segment counter")
+        .map_err(bad)?;
     let mut next_seg = HashMap::with_capacity(m);
     for _ in 0..m {
         let vehicle = r.get_u64().map_err(bad)?;
@@ -935,8 +942,8 @@ struct ShardRecovery {
 /// per-vehicle segment counters.
 type ShardCorpus = (Vec<TrajKey>, Vec<CompressedTrajectory>, HashMap<u64, u64>);
 
-/// Loads one shard's corpus slice. A pre-key corpus (no `ingest`
-/// section) gets synthetic rank-0 keys pinning its original order.
+/// Loads one shard's corpus slice. Every shard corpus carries the
+/// `ingest` section; one without it is refused.
 fn load_shard_corpus(path: &Path) -> Result<ShardCorpus> {
     if !path.exists() {
         return Ok((Vec::new(), Vec::new(), HashMap::new()));
@@ -947,23 +954,14 @@ fn load_shard_corpus(path: &Path) -> Result<ShardCorpus> {
     // are bit-identical to an owned open.
     let store = TrajectoryStore::open_mapped(path)?;
     let finished = store.decode_all()?;
-    match store.extra_section(INGEST_SECTION)? {
-        Some(bytes) => {
-            let (keys, next_seg) = decode_ingest_section(bytes, finished.len())?;
-            Ok((keys, finished, next_seg))
-        }
-        None => {
-            let keys = (0..finished.len())
-                .map(|i| TrajKey {
-                    rank: 0,
-                    vehicle: i as u64,
-                    seg: 0,
-                    piece: 0,
-                })
-                .collect();
-            Ok((keys, finished, HashMap::new()))
-        }
-    }
+    let bytes = store.extra_section(INGEST_SECTION)?.ok_or_else(|| {
+        ServeError::Manifest(format!(
+            "corpus {} has no `{INGEST_SECTION}` section",
+            path.display()
+        ))
+    })?;
+    let (keys, next_seg) = decode_ingest_section(bytes, finished.len())?;
+    Ok((keys, finished, next_seg))
 }
 
 /// Recovers shard `k` of a committed generation: corpus slice first,
@@ -974,22 +972,13 @@ fn recover_shard(
     config: &IngestConfig,
     io: Arc<dyn IoBackend>,
     generation: u64,
-    legacy: bool,
     k: usize,
 ) -> Result<ShardRecovery> {
-    let corpus_name = if legacy {
-        manifest::corpus_file_name(generation)
-    } else {
-        manifest::corpus_shard_file_name(generation, k as u32)
-    };
-    let (keys, finished, next_seg) = load_shard_corpus(&dir.join(corpus_name))?;
+    let corpus_path = dir.join(manifest::corpus_shard_file_name(generation, k as u32));
+    let (keys, finished, next_seg) = load_shard_corpus(&corpus_path)?;
     let corpus_trajectories = finished.len();
-    let wal_name = if legacy {
-        manifest::wal_file_name(generation)
-    } else {
-        manifest::wal_shard_file_name(generation, k as u32)
-    };
-    let (wal, replay) = Wal::open_with(&dir.join(wal_name), io)?;
+    let wal_path = dir.join(manifest::wal_shard_file_name(generation, k as u32));
+    let (wal, replay) = Wal::open_with(&wal_path, io)?;
     let mut shard = Shard::new(wal, config, keys, finished, next_seg);
     let mut clock = f64::NEG_INFINITY;
     let mut next_arrival = 0u64;
@@ -1083,9 +1072,6 @@ pub struct IngestEngine {
     /// Committed checkpoint generation — names the live corpus/journal
     /// shard set (see [`crate::manifest`]).
     generation: u64,
-    /// True while the directory still has the pre-shard (v1 manifest,
-    /// un-suffixed names) layout; the next checkpoint migrates it.
-    legacy_layout: bool,
     shards: Vec<Shard>,
     /// Largest timestamp ever accepted on any shard — the observed
     /// stream clock that drives idle sweeps (never wall clock: replay
@@ -1143,35 +1129,21 @@ impl IngestEngine {
         }
         config.durability.validate().map_err(ServeError::Config)?;
         std::fs::create_dir_all(dir)?;
-        let (generation, legacy_layout) =
+        let generation =
             match manifest::read(dir).map_err(|e| ServeError::Manifest(e.to_string()))? {
                 Some(m) => {
-                    match m.shards {
-                        // A pre-shard directory: one implicit shard,
-                        // un-suffixed artifact names. Only a 1-shard
-                        // config may open it (the next checkpoint
-                        // migrates the naming); resharding is refused.
-                        None if config.shards != 1 => {
-                            return Err(ServeError::Config(format!(
-                                "directory has a legacy single-shard layout; open it with \
-                                 shards = 1 (got {}) — the next checkpoint migrates it",
-                                config.shards
-                            )));
-                        }
-                        Some(s) if s as usize != config.shards => {
-                            return Err(ServeError::Config(format!(
-                                "directory is committed with {s} ingest shards but the \
-                                 config asks for {}; resharding is not supported",
-                                config.shards
-                            )));
-                        }
-                        _ => {}
+                    if m.shards as usize != config.shards {
+                        return Err(ServeError::Config(format!(
+                            "directory is committed with {} ingest shards but the \
+                             config asks for {}; resharding is not supported",
+                            m.shards, config.shards
+                        )));
                     }
                     // Uncommitted leftovers of a checkpoint that crashed
                     // before its manifest rename (or a superseded generation
                     // whose cleanup was interrupted) are garbage.
                     manifest::gc(dir, m.generation)?;
-                    (m.generation, m.shards.is_none())
+                    m.generation
                 }
                 None => {
                     // Artifacts without a manifest mean the manifest was
@@ -1184,7 +1156,7 @@ impl IngestEngine {
                     }
                     manifest::commit_with(io.as_ref(), dir, 0, config.shards as u32)
                         .map_err(|e| ServeError::Manifest(e.to_string()))?;
-                    (0, false)
+                    0
                 }
             };
         // All shard journals replay in parallel on the shared
@@ -1194,7 +1166,7 @@ impl IngestEngine {
         let shard_ids: Vec<usize> = (0..config.shards).collect();
         let recovered: Vec<Result<ShardRecovery>> =
             work_steal_map_eager(&shard_ids, config.threads, |_, &k| {
-                recover_shard(dir, &config, io.clone(), generation, legacy_layout, k)
+                recover_shard(dir, &config, io.clone(), generation, k)
             });
         let mut shards = Vec::with_capacity(config.shards);
         let mut max_time = f64::NEG_INFINITY;
@@ -1234,7 +1206,6 @@ impl IngestEngine {
             press,
             io,
             generation,
-            legacy_layout,
             shards,
             max_time,
             arrival_seq,
@@ -1682,9 +1653,9 @@ impl IngestEngine {
             let next_path = self
                 .dir
                 .join(manifest::corpus_shard_file_name(next, k as u32));
-            let prev_path = self.shard_corpus_path_at(self.generation, k);
+            let prev_path = self.shard_corpus_path(k);
             let shard = &self.shards[k];
-            if shard.dirty || self.legacy_layout || !prev_path.exists() {
+            if shard.dirty || !prev_path.exists() {
                 let extra = vec![(
                     INGEST_SECTION.to_string(),
                     encode_ingest_section(&shard.keys, &shard.next_seg),
@@ -1734,7 +1705,6 @@ impl IngestEngine {
         manifest::commit_with(self.io.as_ref(), &self.dir, next, self.config.shards as u32)
             .map_err(|e| ServeError::Manifest(e.to_string()))?;
         self.generation = next;
-        self.legacy_layout = false;
         for (k, wal) in new_wals.into_iter().enumerate() {
             let shard = &mut self.shards[k];
             shard.wal = wal;
@@ -1830,32 +1800,15 @@ impl IngestEngine {
         self.shards.len()
     }
 
-    fn shard_corpus_path_at(&self, gen: u64, shard: usize) -> PathBuf {
-        if self.legacy_layout && shard == 0 {
-            self.dir.join(manifest::corpus_file_name(gen))
-        } else {
-            self.dir
-                .join(manifest::corpus_shard_file_name(gen, shard as u32))
-        }
-    }
-
-    /// Path of shard 0's published corpus file (current generation).
-    /// With one shard this is the whole corpus; multi-shard readers
-    /// should walk [`IngestEngine::shard_corpus_path`] over
-    /// [`IngestEngine::num_shards`] or use
-    /// [`IngestEngine::merged_corpus_bytes`].
-    pub fn corpus_path(&self) -> PathBuf {
-        self.shard_corpus_path(0)
-    }
-
     /// Path of `shard`'s published corpus file (current generation).
+    /// With one shard this is the whole corpus; multi-shard readers
+    /// walk every shard below [`IngestEngine::num_shards`] or use
+    /// [`IngestEngine::merged_corpus_bytes`].
     pub fn shard_corpus_path(&self, shard: usize) -> PathBuf {
-        self.shard_corpus_path_at(self.generation, shard)
-    }
-
-    /// Path of shard 0's journal (current generation).
-    pub fn wal_path(&self) -> PathBuf {
-        self.shard_wal_path(0)
+        self.dir.join(manifest::corpus_shard_file_name(
+            self.generation,
+            shard as u32,
+        ))
     }
 
     /// Path of `shard`'s journal (current generation).
@@ -1863,21 +1816,10 @@ impl IngestEngine {
         self.shards[shard].wal.path().to_path_buf()
     }
 
-    /// Shard 0's journal length — with one shard, the latest
+    /// `shard`'s journal length — with one shard, the latest
     /// ingested-fix ack offset.
-    pub fn wal_offset(&self) -> u64 {
-        self.shard_wal_offset(0)
-    }
-
-    /// `shard`'s journal length.
     pub fn shard_wal_offset(&self, shard: usize) -> u64 {
         self.shards[shard].wal.offset()
-    }
-
-    /// Shard 0's durability watermark (see
-    /// [`IngestEngine::shard_durable_offset`]).
-    pub fn durable_offset(&self) -> u64 {
-        self.shard_durable_offset(0)
     }
 
     /// `shard`'s durability watermark: every frame of its journal

@@ -74,7 +74,7 @@ pub use durability::DurabilityPolicy;
 pub use engine::{
     Ack, IngestConfig, IngestEngine, IngestStats, QuarantineRecord, RecoveryReport, ServeError,
 };
-pub use fault::{shard_wal_len, truncate_shard_wal, truncate_wal, wal_len, Event, FaultPlan};
+pub use fault::{shard_wal_len, truncate_shard_wal, Event, FaultPlan};
 pub use manifest::{Manifest, MANIFEST_FILE};
 pub use session::{Disposition, QuarantineReason, Session, SessionPolicy};
 pub use wal::{Wal, WalError, WalRecord, WalReplay};

@@ -1,9 +1,12 @@
-//! Checkpoint ↔ synopsis-index integration tests.
+//! Checkpoint ↔ corpus-section integration tests.
 //!
 //! A checkpointed corpus must carry the persisted `index` section, a
 //! pre-index corpus (section stripped) must still recover with identical
 //! answers, and a logically corrupted index must surface as a typed
-//! error at recovery — never a wrong answer.
+//! error at recovery — never a wrong answer. The engine opens only what
+//! it writes: a pre-sharding (manifest v1) directory, a shard corpus
+//! without its `ingest` section, and a crafted `ingest` section are
+//! typed refusals.
 
 use press_core::query::QueryEngine;
 use press_core::store::TrajectoryStore;
@@ -102,11 +105,10 @@ fn config() -> IngestConfig {
 }
 
 /// Ingests the fixture stream and checkpoints; returns the engine.
-fn checkpointed(dir: &std::path::Path) -> IngestEngine {
+fn checkpointed(dir: &std::path::Path, config: IngestConfig) -> IngestEngine {
     let f = fleet();
     let press = f.press.reconfigured(f.press.config());
-    let mut engine =
-        IngestEngine::open(dir, Arc::clone(&f.matcher), press, config()).expect("open");
+    let mut engine = IngestEngine::open(dir, Arc::clone(&f.matcher), press, config).expect("open");
     for &(v, s) in &f.events {
         let _ack: Ack = engine.push(v, s).expect("push");
     }
@@ -152,14 +154,14 @@ fn answers(path: &std::path::Path, press: &Press) -> Vec<press_core::StoreAnswer
 #[test]
 fn checkpoint_publishes_the_index_section() {
     let dir = test_dir("publish");
-    let engine = checkpointed(&dir);
-    let bytes = std::fs::read(engine.corpus_path()).expect("corpus bytes");
+    let engine = checkpointed(&dir, config());
+    let bytes = std::fs::read(engine.shard_corpus_path(0)).expect("corpus bytes");
     let file = StoreFile::from_bytes(bytes).expect("parse");
     assert!(
         file.has_section("index"),
         "checkpointed corpus must persist the synopsis index"
     );
-    let store = TrajectoryStore::open(&engine.corpus_path()).expect("open");
+    let store = TrajectoryStore::open(&engine.shard_corpus_path(0)).expect("open");
     assert!(!store.is_empty(), "fixture produced an empty corpus");
     assert_eq!(
         store.synopsis_index().num_leaves(),
@@ -173,8 +175,8 @@ fn checkpoint_publishes_the_index_section() {
 fn pre_index_corpus_recovers_with_identical_answers() {
     let f = fleet();
     let dir = test_dir("preindex");
-    let engine = checkpointed(&dir);
-    let corpus = engine.corpus_path();
+    let engine = checkpointed(&dir, config());
+    let corpus = engine.shard_corpus_path(0);
     let generation = engine.generation();
     drop(engine);
     let press = f.press.reconfigured(f.press.config());
@@ -205,8 +207,8 @@ fn pre_index_corpus_recovers_with_identical_answers() {
 fn corrupted_index_is_a_typed_error_at_recovery() {
     let f = fleet();
     let dir = test_dir("corrupt");
-    let engine = checkpointed(&dir);
-    let corpus = engine.corpus_path();
+    let engine = checkpointed(&dir, config());
+    let corpus = engine.shard_corpus_path(0);
     drop(engine);
 
     // CRC-valid but logically wrong index: one leaf too few.
@@ -243,4 +245,119 @@ fn corrupted_index_is_a_typed_error_at_recovery() {
         ),
         "expected typed Corrupt error, got {serve_err:?}"
     );
+}
+
+/// Every file name in `dir` with its bytes, sorted by name.
+fn snapshot(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("read dir")
+        .map(|e| {
+            let e = e.expect("entry");
+            let name = e.file_name().into_string().expect("utf-8 name");
+            (name, std::fs::read(e.path()).expect("read file"))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// Opens `dir` with `config` and returns the refusal.
+fn refusal(dir: &std::path::Path, config: IngestConfig) -> ServeError {
+    let f = fleet();
+    let press = f.press.reconfigured(f.press.config());
+    match IngestEngine::open(dir, Arc::clone(&f.matcher), press, config) {
+        Ok(_) => panic!("open must refuse {}", dir.display()),
+        Err(e) => e,
+    }
+}
+
+#[test]
+fn v1_directory_is_refused_without_changing_a_byte() {
+    // Build the pre-sharding layout from a real 1-shard checkpoint:
+    // un-suffixed artifact names, no `ingest` section, 24-byte v1
+    // manifest.
+    let dir = test_dir("v1");
+    let engine = checkpointed(&dir, config());
+    let gen = engine.generation();
+    drop(engine);
+    let corpus = dir.join(format!("corpus.{gen}.press"));
+    std::fs::rename(dir.join(format!("corpus.{gen}.s0.press")), &corpus).expect("rename corpus");
+    std::fs::rename(
+        dir.join(format!("ingest.{gen}.s0.wal")),
+        dir.join(format!("ingest.{gen}.wal")),
+    )
+    .expect("rename journal");
+    rewrite_corpus(&corpus, |name, payload| {
+        (name != "ingest").then(|| payload.to_vec())
+    });
+    let mut manifest = Vec::with_capacity(24);
+    manifest.extend_from_slice(b"PRESSMFT");
+    manifest.extend_from_slice(&1u32.to_le_bytes());
+    manifest.extend_from_slice(&gen.to_le_bytes());
+    manifest.extend_from_slice(&press_store::crc32(&manifest).to_le_bytes());
+    std::fs::write(dir.join("MANIFEST"), &manifest).expect("write v1 manifest");
+
+    let before = snapshot(&dir);
+    match refusal(&dir, config()) {
+        ServeError::Manifest(msg) => assert!(msg.contains("version 1"), "{msg}"),
+        other => panic!("expected a typed manifest refusal, got {other:?}"),
+    }
+    assert!(
+        before == snapshot(&dir),
+        "a refused open changed the directory"
+    );
+    // Without its manifest the un-suffixed artifacts still block a
+    // silent fresh start.
+    std::fs::remove_file(dir.join("MANIFEST")).expect("remove manifest");
+    assert!(matches!(
+        refusal(&dir, config()),
+        ServeError::Manifest(msg) if msg.contains("MANIFEST is missing")
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn shard_corpus_without_ingest_section_is_refused() {
+    let dir = test_dir("no-ingest");
+    let config = IngestConfig {
+        shards: 3,
+        ..config()
+    };
+    let engine = checkpointed(&dir, config);
+    let corpus = engine.shard_corpus_path(1);
+    drop(engine);
+    rewrite_corpus(&corpus, |name, payload| {
+        (name != "ingest").then(|| payload.to_vec())
+    });
+    match refusal(&dir, config) {
+        ServeError::Manifest(msg) => assert!(msg.contains("ingest"), "{msg}"),
+        other => panic!("expected a typed manifest refusal, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn ingest_section_counter_count_is_bounded_by_its_bytes() {
+    // A CRC-consistent `ingest` section whose segment-counter count is
+    // u64::MAX must fail typed before anything is sized by that count.
+    let dir = test_dir("ingest-count");
+    let engine = checkpointed(&dir, config());
+    let corpus = engine.shard_corpus_path(0);
+    drop(engine);
+    rewrite_corpus(&corpus, |name, payload| {
+        if name != "ingest" {
+            return Some(payload.to_vec());
+        }
+        // [u32 version][u64 n][n × 21 B keys][u64 m][m × 16 B counters]
+        let n = u64::from_le_bytes(payload[4..12].try_into().expect("8 bytes")) as usize;
+        let counters_at = 12 + n * 21;
+        let mut crafted = payload[..counters_at].to_vec();
+        crafted.extend_from_slice(&u64::MAX.to_le_bytes());
+        Some(crafted)
+    });
+    assert!(
+        matches!(refusal(&dir, config()), ServeError::Manifest(_)),
+        "expected a typed manifest refusal"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

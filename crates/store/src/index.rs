@@ -283,6 +283,15 @@ impl SynopsisIndex {
                     "index level {l} holds {count} entries, expected {expected}"
                 )));
             }
+            // A leaf count of up to u32::MAX is legal in the header; the
+            // section must actually hold that many 48-byte entries before
+            // anything is reserved for them.
+            if count > r.remaining() / 48 {
+                return Err(StoreError::Corrupt(format!(
+                    "index level {l}: {} B cannot hold {count} entries of 48 B",
+                    r.remaining()
+                )));
+            }
             let mut level = Vec::with_capacity(count);
             for _ in 0..count {
                 level.push(IndexEntry {
