@@ -59,15 +59,17 @@
 //!   (`recovered_identical`), with the reopen wall time and replay
 //!   throughput reported.
 //!
-//! The `--check` gate fails on: a `> tolerance×` drop of any
-//! points-per-second metric present in the baseline, a metric
-//! disappearing, `corpus_identical: false`, `policy_identical: false`,
-//! `merged_identical: false`, `recovered_identical: false`,
-//! `group_commit_speedup < 1.0`, `sharded_push_ratio < 0.9`, or an
-//! incremental checkpoint slower than the full rewrite it replaces.
-//! Every failure is collected and printed before the non-zero exit.
+//! The gate fails on `corpus_identical: false`, `policy_identical:
+//! false`, `merged_identical: false`, `recovered_identical: false`, a
+//! replay that rebuilt a different number of points than survived the
+//! cut, `sharded_push_ratio < 0.9`, or an incremental checkpoint slower
+//! than the full rewrite it replaces; with `--check`, also on a
+//! `> tolerance×` drop of any gated points-per-second metric, on one
+//! missing from the baseline or the fresh run, and on
+//! `group_commit_speedup < 1.0`. Every failure is collected and printed
+//! before the non-zero exit.
 
-use press_bench::Json;
+use press_bench::report::{fatal, ms, resolve_threads, usage_error, Better, Report};
 use press_core::{BtcBounds, Press, PressConfig};
 use press_matcher::{GpsSample, MapMatcher, MatcherConfig};
 use press_network::{grid_network, GridConfig, RoadNetwork, SpBackend};
@@ -81,19 +83,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-fn fatal(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
-}
-
-fn usage(err: &str) -> ! {
-    eprintln!("error: {err}");
-    eprintln!(
-        "usage: ingest_report [--nx N] [--vehicles N] [--interval S] [--threads N] \
-         [--shards N] [--out PATH] [--check BASELINE] [--tolerance X]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: ingest_report [--nx N] [--vehicles N] [--interval S] [--threads N] \
+                     [--shards N] [--out PATH] [--check BASELINE] [--tolerance X]";
 
 fn main() {
     let mut nx = 16usize;
@@ -101,84 +92,27 @@ fn main() {
     let mut interval = 1.5f64;
     let mut threads = 0usize;
     let mut shards = 8usize;
-    let mut out = "BENCH_ingest.json".to_string();
-    let mut check: Option<String> = None;
-    let mut tolerance = 3.0f64;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--nx" => {
-                nx = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--nx needs a number"))
-            }
-            "--vehicles" => {
-                vehicles = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--vehicles needs a number"))
-            }
-            "--interval" => {
-                interval = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--interval needs a number"))
-            }
-            "--threads" => {
-                threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--threads needs a number"))
-            }
-            "--shards" => {
-                shards = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--shards needs a number"))
-            }
-            "--out" => {
-                out = it
-                    .next()
-                    .unwrap_or_else(|| usage("--out needs a path"))
-                    .clone()
-            }
-            "--check" => {
-                check = Some(
-                    it.next()
-                        .unwrap_or_else(|| usage("--check needs a path"))
-                        .clone(),
-                )
-            }
-            "--tolerance" => {
-                tolerance = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--tolerance needs a number"))
-            }
-            other => usage(&format!("unknown flag {other}")),
+    let mut report = Report::from_env_flags(USAGE, "BENCH_ingest.json", |flag, args| {
+        match flag {
+            "--nx" => nx = args.value(flag)?,
+            "--vehicles" => vehicles = args.value(flag)?,
+            "--interval" => interval = args.value(flag)?,
+            "--threads" => threads = args.value(flag)?,
+            "--shards" => shards = args.value(flag)?,
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    });
     if nx < 2 || vehicles == 0 {
-        usage("--nx must be >= 2 and --vehicles >= 1");
+        usage_error(USAGE, "--nx must be >= 2 and --vehicles >= 1");
     }
     if !interval.is_finite() || interval <= 0.0 {
-        usage("--interval must be > 0");
+        usage_error(USAGE, "--interval must be > 0");
     }
     if shards == 0 {
-        usage("--shards must be >= 1");
+        usage_error(USAGE, "--shards must be >= 1");
     }
-    if tolerance <= 1.0 {
-        usage("--tolerance must be > 1");
-    }
-    let resolved_threads = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|t| t.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    };
+    let resolved_threads = resolve_threads(threads);
 
     // ---- Fixture: network, trained compressor, matcher, event stream. ---
     eprintln!("[fixture] building {nx}x{nx} grid…");
@@ -224,7 +158,6 @@ fn main() {
         events.len()
     );
 
-    let mut failures: Vec<String> = Vec::new();
     let mut json = String::from("{\n");
     let _ = writeln!(
         json,
@@ -256,13 +189,6 @@ fn main() {
         run_n.accepted, run_n.wall_ms, run_n.pps
     );
     let corpus_identical = run_1.corpus == run_n.corpus;
-    if !corpus_identical {
-        failures.push(
-            "metric 'ingest.corpus_identical': the 1-worker and parallel runs published \
-             different corpora — flush parallelism leaked into the output"
-                .to_string(),
-        );
-    }
     let speedup = run_n.pps / run_1.pps.max(1e-9);
     eprintln!(
         "[ingest] corpus identical across thread counts: {corpus_identical}; \
@@ -311,13 +237,6 @@ fn main() {
     );
     let gc_speedup = dur_gc.push_pps / dur_pp.push_pps.max(1e-9);
     let policy_identical = dur_pp.corpus == dur_gc.corpus;
-    if !policy_identical {
-        failures.push(
-            "metric 'durability.policy_identical': per-push and group-commit runs published \
-             different corpora — the sync policy leaked into the output"
-                .to_string(),
-        );
-    }
     eprintln!(
         "[durability] group-commit speedup {gc_speedup:.2}x; corpus identical across \
          policies: {policy_identical}"
@@ -365,19 +284,6 @@ fn main() {
     );
     let sharded_ratio = shard_n.push_pps / shard_1.push_pps.max(1e-9);
     let merged_identical = shard_1.merged == shard_n.merged;
-    if !merged_identical {
-        failures.push(
-            "metric 'shards.merged_identical': the 1-shard and sharded runs published \
-             different merged corpora — the shard count leaked into the output"
-                .to_string(),
-        );
-    }
-    if sharded_ratio < 0.9 {
-        failures.push(format!(
-            "metric 'shards.sharded_push_ratio': {sharded_ratio:.2}x — sharded push must \
-             sustain at least 0.9x of the single-shard rate"
-        ));
-    }
     let (ckpt_full_ms, ckpt_incr_ms) =
         checkpoint_timing("shards-ckpt", &matcher, &press, shards, &events);
     eprintln!(
@@ -385,14 +291,6 @@ fn main() {
          {merged_identical}; checkpoint full {ckpt_full_ms:.1} ms vs incremental \
          (1 dirty of {shards}) {ckpt_incr_ms:.1} ms"
     );
-    // Sub-2ms checkpoints measure timer noise, not the hard-link win;
-    // the inode-level behavior is pinned by the serve test suite.
-    if ckpt_incr_ms > ckpt_full_ms && ckpt_full_ms >= 2.0 {
-        failures.push(format!(
-            "metric 'shards.incremental_checkpoint_ms': {ckpt_incr_ms:.1} ms with 1 dirty \
-             shard of {shards} must not exceed the {ckpt_full_ms:.1} ms full rewrite"
-        ));
-    }
     let _ = write!(
         json,
         "  \"shards\": {{\n    \"count\": {shards},\n    \"single\": {{\"push_wall_ms\": {:.1}, \"push_points_per_sec\": {:.0}, \"sync_calls\": {}, \"wal_bytes\": {}}},\n    \"sharded\": {{\"push_wall_ms\": {:.1}, \"push_points_per_sec\": {:.0}, \"sync_calls\": {}, \"wal_bytes\": {}}},\n    \"sharded_push_ratio\": {sharded_ratio:.2},\n    \"merged_identical\": {merged_identical},\n    \"checkpoint_full_ms\": {ckpt_full_ms:.1},\n    \"checkpoint_incremental_ms\": {ckpt_incr_ms:.1}\n  }},\n",
@@ -443,7 +341,7 @@ fn main() {
     let replayed = recovered.recovery().replayed_points;
     let replay_pps = replayed as f64 / (reopen_ms / 1e3).max(1e-9);
     if replayed as usize != survivors {
-        failures.push(format!(
+        report.gate.fail(format!(
             "metric 'recovery.replayed_points': replay rebuilt {replayed} points but \
              {survivors} acked frames survived the cut — an acked point was lost or invented"
         ));
@@ -462,13 +360,6 @@ fn main() {
         &prefix,
     );
     let recovered_identical = recovered_corpus == reference.corpus;
-    if !recovered_identical {
-        failures.push(
-            "metric 'recovery.recovered_identical': the recovered corpus differs from a \
-             clean run over the acked prefix — recovery is not deterministic"
-                .to_string(),
-        );
-    }
     eprintln!(
         "[recovery] killed at {cut}/{full_len} bytes: replayed {replayed} points in \
          {reopen_ms:.0} ms ({replay_pps:.0} points/s); corpus identical to clean prefix run: \
@@ -479,173 +370,42 @@ fn main() {
         "  \"recovery\": {{\n    \"wal_bytes\": {full_len},\n    \"kill_offset\": {cut},\n    \"replayed_points\": {replayed},\n    \"reopen_ms\": {reopen_ms:.1},\n    \"replay_points_per_sec\": {replay_pps:.0},\n    \"recovered_identical\": {recovered_identical}\n  }}\n}}"
     );
 
-    std::fs::write(&out, &json).unwrap_or_else(|e| fatal(&format!("cannot write {out}: {e}")));
-    println!("wrote {out}");
-    print!("{json}");
-
-    let mut gate_log: Vec<String> = Vec::new();
-    if let Some(baseline_path) = &check {
-        match run_gate(&json, baseline_path, tolerance) {
-            Ok(lines) => gate_log = lines,
-            Err(mut gate_failures) => failures.append(&mut gate_failures),
-        }
-    }
-    for l in &gate_log {
-        println!("[gate] {l}");
-    }
-    if failures.is_empty() {
-        if check.is_some() {
-            println!("[gate] OK (tolerance {tolerance}x)");
-        }
-    } else {
-        for f in &failures {
-            eprintln!("[gate] FAIL: {f}");
-        }
-        eprintln!("[gate] {} failure(s) — see above", failures.len());
-        std::process::exit(1);
-    }
-}
-
-/// The regression gate: fresh report vs baseline. Throughput metrics may
-/// drop by at most `tolerance`×; the two byte-identity booleans must
-/// hold. All failures are collected, never just the first.
-fn run_gate(fresh: &str, baseline_path: &str, tolerance: f64) -> Result<Vec<String>, Vec<String>> {
-    let baseline_text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) => return Err(vec![format!("cannot read baseline {baseline_path}: {e}")]),
-    };
-    let baseline = match Json::parse(&baseline_text) {
-        Ok(v) => v,
-        Err(e) => return Err(vec![format!("baseline {baseline_path} is not JSON: {e}")]),
-    };
-    let fresh = Json::parse(fresh).expect("fresh report is well-formed by construction");
-    let mut log = Vec::new();
-    let mut failures = Vec::new();
-
-    for (flag, metric) in [
-        ("ingest.corpus_identical", ["ingest", "corpus_identical"]),
-        (
-            "durability.policy_identical",
-            ["durability", "policy_identical"],
-        ),
-        ("shards.merged_identical", ["shards", "merged_identical"]),
-        (
-            "recovery.recovered_identical",
-            ["recovery", "recovered_identical"],
-        ),
+    let gate = &mut report.gate;
+    for key in [
+        "ingest.corpus_identical",
+        "durability.policy_identical",
+        "shards.merged_identical",
+        "recovery.recovered_identical",
     ] {
-        if fresh.bool_at(&metric) != Some(true) {
-            failures.push(format!(
-                "metric '{flag}': expected true, measured false — determinism broke"
-            ));
-        }
+        gate.identity(key);
     }
-    // Group commit exists to amortize fsyncs: the fresh run must not be
-    // slower than its own per-push baseline.
-    match fresh.num_at(&["durability", "group_commit_speedup"]) {
-        Some(speedup) if speedup >= 1.0 => log.push(format!(
-            "metric 'durability.group_commit_speedup': {speedup:.2}x over per-push sync"
-        )),
-        Some(speedup) => failures.push(format!(
-            "metric 'durability.group_commit_speedup': {speedup:.2}x — group commit must \
-             not be slower than per-push sync"
-        )),
-        None => failures.push(
-            "metric 'durability.group_commit_speedup': missing from the fresh run".to_string(),
-        ),
+    // Sharding exists to isolate failure domains, not to slow ingest.
+    gate.at_least("shards.sharded_push_ratio", 0.9);
+    // An incremental checkpoint (1 dirty shard, the rest hard-linked)
+    // must not cost more than the full rewrite it replaces; sub-2 ms
+    // rewrites measure timer noise, not the hard-link win (the serve
+    // test suite pins the inode-level behaviour).
+    gate.at_most("shards.checkpoint_incremental_ms", ckpt_full_ms)
+        .unless_fresh_below("shards.checkpoint_full_ms", 2.0);
+    if gate.has_baseline() {
+        // Group commit exists to amortize fsyncs: the fresh run must not
+        // be slower than its own per-push baseline.
+        gate.at_least("durability.group_commit_speedup", 1.0);
     }
-    // Sharding exists to isolate failure domains, not to slow ingest:
-    // the sharded push loop must hold at least 0.9x of the single-shard
-    // rate.
-    match fresh.num_at(&["shards", "sharded_push_ratio"]) {
-        Some(ratio) if ratio >= 0.9 => log.push(format!(
-            "metric 'shards.sharded_push_ratio': {ratio:.2}x of the single-shard rate"
-        )),
-        Some(ratio) => failures.push(format!(
-            "metric 'shards.sharded_push_ratio': {ratio:.2}x — sharded push must sustain \
-             at least 0.9x of the single-shard rate"
-        )),
-        None => {
-            failures.push("metric 'shards.sharded_push_ratio': missing from the fresh run".into())
-        }
-    }
-    // An incremental checkpoint (1 dirty shard, rest hard-linked) must
-    // not cost more than the full rewrite it replaces; sub-2ms full
-    // rewrites are timer noise and only logged.
-    match (
-        fresh.num_at(&["shards", "checkpoint_full_ms"]),
-        fresh.num_at(&["shards", "checkpoint_incremental_ms"]),
-    ) {
-        (Some(full), Some(incr)) if incr <= full || full < 2.0 => log.push(format!(
-            "metric 'shards.checkpoint_incremental_ms': {incr:.1} ms vs {full:.1} ms full"
-        )),
-        (Some(full), Some(incr)) => failures.push(format!(
-            "metric 'shards.checkpoint_incremental_ms': {incr:.1} ms exceeds the {full:.1} ms \
-             full rewrite"
-        )),
-        _ => {
-            failures.push("metric 'shards.checkpoint_*_ms': missing from the fresh run".to_string())
-        }
-    }
-    // Higher is better for every gated number, so the check is a floor:
-    // fresh must stay above baseline / tolerance.
-    for path in [
-        ["ingest", "single_thread", "points_per_sec"],
-        ["ingest", "parallel", "points_per_sec"],
-        ["durability", "per_push", "push_points_per_sec"],
-        ["durability", "group_commit", "push_points_per_sec"],
-        ["shards", "sharded", "push_points_per_sec"],
-        ["recovery", "replay_points_per_sec", ""],
+    for key in [
+        "ingest.single_thread.points_per_sec",
+        "ingest.parallel.points_per_sec",
+        "durability.per_push.push_points_per_sec",
+        "durability.group_commit.push_points_per_sec",
+        "shards.sharded.push_points_per_sec",
     ] {
-        let path: Vec<&str> = path.iter().copied().filter(|s| !s.is_empty()).collect();
-        let metric = path.join(".");
-        let Some(base) = baseline.num_at(&path) else {
-            failures.push(format!(
-                "metric '{metric}': missing from the baseline — a gated metric cannot be \
-                 un-gated by deleting its baseline key"
-            ));
-            continue;
-        };
-        let Some(fresh_v) = fresh.num_at(&path) else {
-            failures.push(format!(
-                "metric '{metric}': present in the baseline but missing from the fresh run"
-            ));
-            continue;
-        };
-        // WAL replay finishes in single-digit milliseconds at gate
-        // scale; a ratio over a sub-5 ms baseline measures timer noise,
-        // not regressions. Presence is still checked above — only the
-        // ratio is skipped.
-        if metric == "recovery.replay_points_per_sec"
-            && baseline
-                .num_at(&["recovery", "reopen_ms"])
-                .is_some_and(|ms| ms < 5.0)
-        {
-            log.push(format!(
-                "metric '{metric}': baseline reopen is below the 5 ms noise floor — \
-                 ratio not gated (measured {fresh_v:.0} points/s)"
-            ));
-            continue;
-        }
-        let floor = base / tolerance;
-        let factor = base.max(1e-9) / fresh_v.max(1e-9);
-        if fresh_v < floor {
-            failures.push(format!(
-                "metric '{metric}': measured {fresh_v:.0} points/s is below the allowed floor \
-                 {floor:.0} (baseline {base:.0} / tolerance {tolerance}) — {factor:.2}x slower"
-            ));
-        } else {
-            log.push(format!(
-                "metric '{metric}': {base:.0} -> {fresh_v:.0} points/s \
-                 ({factor:.2}x of baseline, floor {floor:.0})"
-            ));
-        }
+        gate.vs_baseline(key, Better::Higher);
     }
-    if failures.is_empty() {
-        Ok(log)
-    } else {
-        Err(failures)
-    }
+    // WAL replay finishes in single-digit milliseconds at gate scale; a
+    // ratio over a sub-5 ms reopen measures timer noise.
+    gate.vs_baseline("recovery.replay_points_per_sec", Better::Higher)
+        .unless_baseline_below("recovery.reopen_ms", 5.0);
+    report.finish(&json);
 }
 
 /// Interleaved multi-vehicle event stream: each eval record becomes one
@@ -989,8 +749,4 @@ fn bench_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("press-bench-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-fn ms(t0: Instant) -> f64 {
-    t0.elapsed().as_secs_f64() * 1e3
 }

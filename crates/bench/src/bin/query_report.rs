@@ -38,12 +38,13 @@
 //!   answer-for-answer. Reported: QPS each way, indexed/linear speedup,
 //!   and the blocks-skipped ratio of the indexed pass.
 //!
-//! The `--check` gate fails on: answers diverging between any two modes,
-//! a `> tolerance×` drop of any QPS metric present in the baseline, a
-//! metric disappearing, or (when `--min-speedup` is given) the indexed
-//! path beating the linear walk by less than the floor.
+//! The gate fails on answers diverging between any two modes or (when
+//! `--min-speedup` is given) the indexed path beating the linear walk by
+//! less than the floor; with `--check`, also on a `> tolerance×` drop of
+//! either gated QPS metric or on one missing from the baseline or the
+//! fresh run.
 
-use press_bench::Json;
+use press_bench::report::{fatal, ms, resolve_threads, usage_error, Better, Report};
 use press_core::query::QueryEngine;
 use press_core::store::TrajectoryStore;
 use press_core::{
@@ -55,98 +56,34 @@ use press_workload::{query_mix, QueryMixConfig, Workload, WorkloadConfig};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-fn fatal(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
-}
-
-fn usage(err: &str) -> ! {
-    eprintln!("error: {err}");
-    eprintln!(
-        "usage: query_report [--trajectories N] [--block-size N] [--queries N] [--threads N] \
-         [--out PATH] [--check BASELINE] [--tolerance X] [--min-speedup X]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: query_report [--trajectories N] [--block-size N] [--queries N] \
+                     [--threads N] [--out PATH] [--check BASELINE] [--tolerance X] \
+                     [--min-speedup X]";
 
 fn main() {
     let mut trajectories = 1_000_000usize;
     let mut block_size = 64usize;
     let mut queries = 2000usize;
     let mut threads = 0usize;
-    let mut out = "BENCH_query.json".to_string();
-    let mut check: Option<String> = None;
-    let mut tolerance = 3.0f64;
     let mut min_speedup = 0.0f64;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--trajectories" => {
-                trajectories = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--trajectories needs a number"))
-            }
-            "--block-size" => {
-                block_size = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--block-size needs a number"))
-            }
-            "--queries" => {
-                queries = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--queries needs a number"))
-            }
-            "--threads" => {
-                threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--threads needs a number"))
-            }
-            "--out" => {
-                out = it
-                    .next()
-                    .unwrap_or_else(|| usage("--out needs a path"))
-                    .clone()
-            }
-            "--check" => {
-                check = Some(
-                    it.next()
-                        .unwrap_or_else(|| usage("--check needs a path"))
-                        .clone(),
-                )
-            }
-            "--tolerance" => {
-                tolerance = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--tolerance needs a number"))
-            }
-            "--min-speedup" => {
-                min_speedup = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--min-speedup needs a number"))
-            }
-            other => usage(&format!("unknown flag {other}")),
+    let mut report = Report::from_env_flags(USAGE, "BENCH_query.json", |flag, args| {
+        match flag {
+            "--trajectories" => trajectories = args.value(flag)?,
+            "--block-size" => block_size = args.value(flag)?,
+            "--queries" => queries = args.value(flag)?,
+            "--threads" => threads = args.value(flag)?,
+            "--min-speedup" => min_speedup = args.value(flag)?,
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    });
     if trajectories == 0 || block_size == 0 || queries == 0 {
-        usage("--trajectories, --block-size and --queries must be >= 1");
+        usage_error(
+            USAGE,
+            "--trajectories, --block-size and --queries must be >= 1",
+        );
     }
-    if tolerance <= 1.0 {
-        usage("--tolerance must be > 1");
-    }
-    let resolved_threads = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|t| t.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    };
+    let resolved_threads = resolve_threads(threads);
 
     // ---- Pool: real compressed trajectories from the taxi workload. ----
     eprintln!("[fixture] training the compressor and building the pool…");
@@ -265,28 +202,6 @@ fn main() {
          batch identical across worker counts: {batch_identical}; speedup {speedup:.1}x"
     );
 
-    let mut failures: Vec<String> = Vec::new();
-    if !answers_identical {
-        failures.push(
-            "metric 'serving.answers_identical': the indexed pass diverged from the linear \
-             directory walk — the index changed an answer"
-                .to_string(),
-        );
-    }
-    if !batch_identical {
-        failures.push(
-            "metric 'serving.batch_identical': the parallel batch diverged from the 1-worker \
-             run — worker count leaked into answers"
-                .to_string(),
-        );
-    }
-    if min_speedup > 0.0 && speedup < min_speedup {
-        failures.push(format!(
-            "metric 'serving.speedup': indexed path is only {speedup:.2}x the linear walk, \
-             below the required {min_speedup}x floor"
-        ));
-    }
-
     let mut json = String::from("{\n");
     let _ = writeln!(
         json,
@@ -300,101 +215,15 @@ fn main() {
         "  \"serving\": {{\n    \"linear\": {{\"wall_ms\": {linear_ms:.1}, \"qps\": {linear_qps:.0}}},\n    \"indexed\": {{\"wall_ms\": {indexed_ms:.1}, \"qps\": {indexed_qps:.0}}},\n    \"parallel\": {{\"threads\": {resolved_threads}, \"wall_ms\": {parallel_ms:.1}, \"qps\": {parallel_qps:.0}}},\n    \"speedup\": {speedup:.2},\n    \"blocks_skipped_ratio\": {skip_ratio:.4},\n    \"answers_identical\": {answers_identical},\n    \"batch_identical\": {batch_identical}\n  }}\n}}"
     );
 
-    std::fs::write(&out, &json).unwrap_or_else(|e| fatal(&format!("cannot write {out}: {e}")));
-    println!("wrote {out}");
-    print!("{json}");
-
-    let mut gate_log: Vec<String> = Vec::new();
-    if let Some(baseline_path) = &check {
-        match run_gate(&json, baseline_path, tolerance) {
-            Ok(lines) => gate_log = lines,
-            Err(mut gate_failures) => failures.append(&mut gate_failures),
-        }
+    let gate = &mut report.gate;
+    gate.identity("serving.answers_identical");
+    gate.identity("serving.batch_identical");
+    if min_speedup > 0.0 {
+        gate.at_least("serving.speedup", min_speedup);
     }
-    for l in &gate_log {
-        println!("[gate] {l}");
-    }
-    if failures.is_empty() {
-        if check.is_some() {
-            println!("[gate] OK (tolerance {tolerance}x, min speedup {min_speedup}x)");
-        }
-    } else {
-        for f in &failures {
-            eprintln!("[gate] FAIL: {f}");
-        }
-        eprintln!("[gate] {} failure(s) — see above", failures.len());
-        std::process::exit(1);
-    }
-}
-
-/// The regression gate: fresh report vs baseline. QPS metrics may drop by
-/// at most `tolerance`×; the two identity booleans must hold. All
-/// failures are collected, never just the first.
-fn run_gate(fresh: &str, baseline_path: &str, tolerance: f64) -> Result<Vec<String>, Vec<String>> {
-    let baseline_text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) => return Err(vec![format!("cannot read baseline {baseline_path}: {e}")]),
-    };
-    let baseline = match Json::parse(&baseline_text) {
-        Ok(v) => v,
-        Err(e) => return Err(vec![format!("baseline {baseline_path} is not JSON: {e}")]),
-    };
-    let fresh = Json::parse(fresh).expect("fresh report is well-formed by construction");
-    let mut log = Vec::new();
-    let mut failures = Vec::new();
-
-    for (flag, metric) in [
-        (
-            "serving.answers_identical",
-            ["serving", "answers_identical"],
-        ),
-        ("serving.batch_identical", ["serving", "batch_identical"]),
-    ] {
-        if fresh.bool_at(&metric) != Some(true) {
-            failures.push(format!(
-                "metric '{flag}': expected true, measured false — correctness broke"
-            ));
-        }
-    }
-    // Higher is better for every gated number, so the check is a floor:
-    // fresh must stay above baseline / tolerance.
-    for path in [
-        ["serving", "indexed", "qps"],
-        ["serving", "parallel", "qps"],
-    ] {
-        let metric = path.join(".");
-        let Some(base) = baseline.num_at(&path) else {
-            failures.push(format!(
-                "metric '{metric}': missing from the baseline — a gated metric cannot be \
-                 un-gated by deleting its baseline key"
-            ));
-            continue;
-        };
-        let Some(fresh_v) = fresh.num_at(&path) else {
-            failures.push(format!(
-                "metric '{metric}': present in the baseline but missing from the fresh run"
-            ));
-            continue;
-        };
-        let floor = base / tolerance;
-        let factor = base.max(1e-9) / fresh_v.max(1e-9);
-        if fresh_v < floor {
-            failures.push(format!(
-                "metric '{metric}': measured {fresh_v:.0} q/s is below the allowed floor \
-                 {floor:.0} (baseline {base:.0} / tolerance {tolerance}) — {factor:.2}x slower"
-            ));
-        } else {
-            log.push(format!(
-                "metric '{metric}': {base:.0} -> {fresh_v:.0} q/s \
-                 ({factor:.2}x of baseline, floor {floor:.0})"
-            ));
-        }
-    }
-    if failures.is_empty() {
-        Ok(log)
-    } else {
-        Err(failures)
-    }
+    gate.vs_baseline("serving.indexed.qps", Better::Higher);
+    gate.vs_baseline("serving.parallel.qps", Better::Higher);
+    report.finish(&json);
 }
 
 /// The linear reference pass: identical execution except `range` walks
@@ -444,8 +273,4 @@ fn shift(ct: &CompressedTrajectory, dt: f64) -> CompressedTrajectory {
         spatial: ct.spatial.clone(),
         temporal: TemporalSequence::new_unchecked(pts),
     }
-}
-
-fn ms(t0: Instant) -> f64 {
-    t0.elapsed().as_secs_f64() * 1e3
 }

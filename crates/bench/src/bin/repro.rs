@@ -27,12 +27,15 @@
 //!                 faults) open cost instead of a full decode
 //! ```
 
+use press_bench::report::{parse_env_flags, usage_error};
 use press_bench::{experiments, Env, Scale, StoreMode};
 use press_network::SpBackend;
 use std::time::Instant;
 
+const USAGE: &str = "usage: repro [all|fig10a|fig10b|fig11|fig12a|fig12b|fig13|fig14|fig15|fig16|fig17|aux|ablations]… \
+                     [--full] [--seed N] [--ch] [--hl] [--threads N] [--save-dir DIR] [--load-dir DIR] [--map]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Small;
     let mut seed = 3u64;
     let mut backend = SpBackend::Dense;
@@ -41,49 +44,33 @@ fn main() {
     let mut load_dir: Option<String> = None;
     let mut map = false;
     let mut wanted: Vec<String> = Vec::new();
-    let mut it = args.iter().peekable();
-    while let Some(a) = it.next() {
-        match a.as_str() {
+    parse_env_flags(USAGE, |arg, args| {
+        match arg {
             "--full" => scale = Scale::Full,
             "--ch" => backend = SpBackend::Ch,
             "--hl" => backend = SpBackend::Hl,
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--seed needs a number"));
-            }
-            "--threads" => {
-                threads = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--threads needs a number"));
-            }
-            "--save-dir" => {
-                save_dir = Some(
-                    it.next()
-                        .unwrap_or_else(|| usage("--save-dir needs a path"))
-                        .clone(),
-                );
-            }
-            "--load-dir" => {
-                load_dir = Some(
-                    it.next()
-                        .unwrap_or_else(|| usage("--load-dir needs a path"))
-                        .clone(),
-                );
-            }
+            "--seed" => seed = args.value(arg)?,
+            "--threads" => threads = args.value(arg)?,
+            "--save-dir" => save_dir = Some(args.value(arg)?),
+            "--load-dir" => load_dir = Some(args.value(arg)?),
             "--map" => map = true,
-            "--help" | "-h" => usage(""),
-            other if other.starts_with('-') => usage(&format!("unknown flag {other}")),
-            other => wanted.push(other.to_string()),
+            "--help" | "-h" => {
+                eprintln!("{USAGE}");
+                std::process::exit(0);
+            }
+            experiment if !experiment.starts_with('-') => wanted.push(experiment.to_string()),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    });
     if save_dir.is_some() && load_dir.is_some() {
-        usage("--save-dir and --load-dir are mutually exclusive");
+        usage_error(USAGE, "--save-dir and --load-dir are mutually exclusive");
     }
     if map && load_dir.is_none() {
-        usage("--map opens saved artifacts; pass --load-dir with it");
+        usage_error(
+            USAGE,
+            "--map opens saved artifacts; pass --load-dir with it",
+        );
     }
     let store = match (&save_dir, &load_dir) {
         (Some(d), _) => StoreMode::Save(std::path::Path::new(d)),
@@ -171,15 +158,4 @@ fn main() {
         experiments::train_size(&env, scale).print();
         experiments::btc_vs_bopw(&env, scale).print();
     }
-}
-
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}");
-    }
-    eprintln!(
-        "usage: repro [all|fig10a|fig10b|fig11|fig12a|fig12b|fig13|fig14|fig15|fig16|fig17|aux|ablations]… \
-         [--full] [--seed N] [--ch] [--hl] [--threads N] [--save-dir DIR] [--load-dir DIR] [--map]"
-    );
-    std::process::exit(if err.is_empty() { 0 } else { 2 });
 }

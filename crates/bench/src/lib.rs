@@ -21,9 +21,23 @@
 //! | fig17  | [`experiments::fig17`]  | range accuracy/time |
 //! | aux    | [`experiments::aux_sizes`] | auxiliary structure sizes |
 //! | extra  | [`experiments::train_size`], [`experiments::btc_vs_bopw`] | ablations |
+//!
+//! Report binaries — each writes one `BENCH_*.json` and, with
+//! `--check BASELINE`, gates the fresh run against the checked-in copy
+//! (CI runs all three):
+//!
+//! | binary | report | what it measures |
+//! |--------|--------|------------------|
+//! | `sp_backend_report` | `BENCH_sp_backend.json` | dense vs CH vs HL: build, pipeline, point lookups, `sp_interior` walks, warm and mapped starts |
+//! | `ingest_report` | `BENCH_ingest.json` | `press-serve` ingest throughput, durability policies, shards, crash recovery |
+//! | `query_report` | `BENCH_query.json` | indexed vs linear query serving and the parallel batch executor |
+//!
+//! They share one harness, [`report`]: the flag parser (which `repro`
+//! uses too), the gate and the step that writes, prints and exits.
 
 pub mod experiments;
 pub mod json;
+pub mod report;
 pub mod setup;
 pub mod table;
 

@@ -206,27 +206,13 @@ impl Env {
     /// skipping coded units, which needs trajectories long enough that the
     /// α·γ·β factors dominate the per-query constants.
     pub fn long_haul(scale: Scale, seed: u64) -> Env {
-        Self::long_haul_with_backend(scale, seed, SpBackend::Dense)
+        Self::long_haul_sp_threads(scale, seed, SpBackend::Dense, StoreMode::None, 0)
     }
 
-    /// [`Env::long_haul`] over an explicit SP backend.
-    pub fn long_haul_with_backend(scale: Scale, seed: u64, backend: SpBackend) -> Env {
-        Self::long_haul_with_store(scale, seed, backend, StoreMode::None)
-    }
-
-    /// [`Env::long_haul_with_backend`] with an explicit [`StoreMode`]
-    /// (artifacts live under `<dir>/long_haul/`).
-    pub fn long_haul_with_store(
-        scale: Scale,
-        seed: u64,
-        backend: SpBackend,
-        store: StoreMode<'_>,
-    ) -> Env {
-        Self::long_haul_sp_threads(scale, seed, backend, store, 0)
-    }
-
-    /// [`Env::long_haul_with_store`] with an explicit SP preprocessing
-    /// worker count (0 = one per core); see [`Env::standard_sp_threads`].
+    /// [`Env::long_haul`] over an explicit SP backend and [`StoreMode`]
+    /// (artifacts live under `<dir>/long_haul/`), with an explicit SP
+    /// preprocessing worker count (0 = one per core); see
+    /// [`Env::standard_sp_threads`].
     pub fn long_haul_sp_threads(
         scale: Scale,
         seed: u64,

@@ -68,7 +68,7 @@ use press_store::{
 };
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------
 // HSC model persistence
@@ -297,8 +297,6 @@ pub struct TrajectoryStore {
     /// Packed hierarchy over the block synopses (loaded from the
     /// additive `"index"` section, or rebuilt for pre-index files).
     index: SynopsisIndex,
-    /// Most-recently-decoded block (queries stream block-locally).
-    cache: Mutex<Option<(usize, Arc<Vec<CompressedTrajectory>>)>>,
     blocks_decoded: AtomicU64,
     blocks_skipped: AtomicU64,
 }
@@ -522,7 +520,6 @@ impl TrajectoryStore {
             len,
             blocks,
             index,
-            cache: Mutex::new(None),
             blocks_decoded: AtomicU64::new(0),
             blocks_skipped: AtomicU64::new(0),
         })
@@ -585,21 +582,11 @@ impl TrajectoryStore {
         )
     }
 
-    /// Decodes (or returns the cached) block `b`.
-    ///
-    /// The one-block cache tolerates lock poisoning: a panic in another
-    /// thread mid-update leaves at worst a stale-but-valid `(idx, block)`
-    /// pair (both fields are written together), so a serving path must
-    /// keep answering rather than propagate the panic.
-    fn block(&self, b: usize) -> Result<Arc<Vec<CompressedTrajectory>>> {
-        {
-            let guard = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some((idx, block)) = guard.as_ref() {
-                if *idx == b {
-                    return Ok(block.clone());
-                }
-            }
-        }
+    /// Decodes block `b`: one CRC-checked section read, every record,
+    /// and a check that nothing trails the last one. Each call decodes
+    /// afresh — there is no shared cache, so concurrent queries never
+    /// contend on a lock or evict each other's block.
+    fn block(&self, b: usize) -> Result<Vec<CompressedTrajectory>> {
         let syn = &self.blocks[b];
         let mut r = self.file.reader(&format!("blk{b}"))?;
         let mut out = Vec::with_capacity(syn.len);
@@ -608,24 +595,17 @@ impl TrajectoryStore {
         }
         r.expect_end("block")?;
         self.blocks_decoded.fetch_add(1, Ordering::Relaxed);
-        let block = Arc::new(out);
-        *self.cache.lock().unwrap_or_else(|e| e.into_inner()) = Some((b, block.clone()));
-        Ok(block)
+        Ok(out)
     }
 
     /// Decodes every block, returning the whole corpus in index order.
     /// Used by crash recovery (press-serve rebuilds its in-memory
-    /// finished list from the last checkpoint) — the blocks are decoded
-    /// once each, bypassing the one-block cache.
+    /// finished list from the last checkpoint) — each block is decoded
+    /// once, through the same path as a query.
     pub fn decode_all(&self) -> Result<Vec<CompressedTrajectory>> {
         let mut out = Vec::with_capacity(self.len);
         for b in 0..self.blocks.len() {
-            let syn = &self.blocks[b];
-            let mut r = self.file.reader(&format!("blk{b}"))?;
-            for _ in 0..syn.len {
-                out.push(decode_trajectory(&mut r)?);
-            }
-            r.expect_end("block")?;
+            out.append(&mut self.block(b)?);
         }
         Ok(out)
     }
@@ -638,8 +618,8 @@ impl TrajectoryStore {
                 self.len
             )));
         }
-        let block = self.block(idx / self.block_size)?;
-        Ok(block[idx % self.block_size].clone())
+        let mut block = self.block(idx / self.block_size)?;
+        Ok(block.swap_remove(idx % self.block_size))
     }
 
     /// `whereat` on trajectory `idx`: decodes only the containing block
@@ -964,18 +944,14 @@ mod tests {
         for (i, ct) in compressed.iter().enumerate() {
             assert_eq!(store.get(i).unwrap(), *ct, "trajectory {i} roundtrip");
         }
-        // Accessing one trajectory decodes exactly one block (cached after).
+        // Each access decodes exactly its own block, nothing more.
         let fresh = TrajectoryStore::from_store_bytes(
             TrajectoryStore::to_store_bytes(&engine, &compressed, 8).unwrap(),
         )
         .unwrap();
         let _ = fresh.get(3).unwrap();
         let _ = fresh.get(5).unwrap();
-        assert_eq!(
-            fresh.io_stats().0,
-            1,
-            "same-block reads must share a decode"
-        );
+        assert_eq!(fresh.io_stats().0, 2, "each get decodes exactly one block");
         assert!(fresh.get(compressed.len()).is_err());
     }
 
